@@ -66,31 +66,6 @@ def all_cumulative_correlations(
     return cums, weighted
 
 
-def correlation_backward(
-    node: int,
-    embeddings: np.ndarray,
-    graph: ViewGraph,
-    grad_cum: np.ndarray,
-) -> np.ndarray:
-    """Gradients of <grad_cum, C_node> w.r.t. every embedding; (V, N).
-
-    The node's own embedding appears as the left factor of every term and as
-    the right factor of the self-pair, so for V = 1 this reduces to
-    (G + G^T) @ d.
-    """
-    embeddings = _check_embeddings(embeddings, graph.num_views)
-    if not 0 <= node < graph.num_views:
-        raise ValueError(f"node {node} out of range [0, {graph.num_views})")
-    grad_cum = np.asarray(grad_cum, dtype=np.float64)
-    n = embeddings.shape[1]
-    if grad_cum.shape != (n, n):
-        raise ValueError(f"upstream gradient must be ({n}, {n}), got {grad_cum.shape}")
-    sims = graph.similarity[node]
-    grads = sims[:, None] * (grad_cum.T @ embeddings[node])[None, :]
-    grads[node] += grad_cum @ (sims @ embeddings)
-    return grads
-
-
 def all_correlation_backward(
     embeddings: np.ndarray,
     similarity: np.ndarray,

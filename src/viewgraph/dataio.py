@@ -21,8 +21,11 @@ actual byte length before any array is built, so corrupt or truncated files
 fail with a typed error instead of an allocation blow-up.
 """
 
+import contextlib
 import json
+import os
 import struct
+import uuid
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,8 +148,27 @@ class _Reader:
             raise FormatError(f"{what} is not valid UTF-8") from exc
 
 
+def write_atomic(path, data: bytes, what: str) -> None:
+    """Replace ``path`` with ``data`` so that readers see the old or the new bytes.
+
+    The bytes go to a temporary file beside the target, which is then renamed
+    over it; a process killed mid-write leaves the previous file untouched.
+    Raises DataIOError, naming ``what`` (say "dataset") in the message.
+    """
+    tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)  # already gone after a successful rename
+
+
 def save(dataset: Dataset, path) -> None:
-    """Write the dataset container; byte output is deterministic per content."""
+    """Write the dataset container atomically; bytes are deterministic per content."""
     validate_dataset(dataset)
     views = dataset.views
     shared = all(
@@ -185,11 +207,7 @@ def save(dataset: Dataset, path) -> None:
     for s in dataset.samples:
         parts.append(struct.pack("<I", s.label))
         parts.append(np.ascontiguousarray(s.features, dtype="<f4").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise DataIOError(f"cannot write dataset {path}: {exc}") from exc
+    write_atomic(path, b"".join(parts), "dataset")
 
 
 def load(path, sigma: float = DEFAULT_SIGMA) -> Dataset:

@@ -45,7 +45,7 @@ from .classifier import (
     one_hot,
 )
 from .correlation import all_correlation_backward, all_cumulative_correlations
-from .dataio import ShapeSample
+from .dataio import ShapeSample, write_atomic
 from .errors import DataIOError, FormatError
 from .numeric import softmax_grad
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
@@ -133,9 +133,17 @@ class ModelParams:
     attn: AttentionParams
     cls: ClassifierParams
 
+    @classmethod
+    def from_blocks(cls, arrays: dict) -> "ModelParams":
+        """Assemble the stage groups from a {block name: array} mapping."""
+        groups = {f.name: {} for f in fields(cls)}
+        for name, group, attr, _ in BLOCKS:
+            groups[group][attr] = arrays[name]
+        return cls(**{f.name: f.type(**groups[f.name]) for f in fields(cls)})
+
     def blocks(self):
-        """Yield (name, array) for every parameter block in declared order."""
-        for name, (group, attr) in _BLOCK_PATHS:
+        """Yield (name, array) for every parameter block in table order."""
+        for name, group, attr, _ in BLOCKS:
             yield name, getattr(getattr(self, group), attr)
 
     def block(self, name: str) -> np.ndarray:
@@ -146,67 +154,59 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         """Deep copy; the new container's arrays are independent and writable."""
-        return ModelParams(
-            latent=LatentMapParams(
-                filters=self.latent.filters.copy(), offsets=self.latent.offsets.copy()
-            ),
-            attn=AttentionParams(
-                node_proj=self.attn.node_proj.copy(),
-                node_vec=self.attn.node_vec.copy(),
-                ctx_vec=self.attn.ctx_vec.copy(),
-                bias=self.attn.bias.copy(),
-                out=self.attn.out.copy(),
-            ),
-            cls=ClassifierParams(
-                feat_weights=self.cls.feat_weights.copy(),
-                feat_bias=self.cls.feat_bias.copy(),
-                cls_weights=self.cls.cls_weights.copy(),
-                cls_bias=self.cls.cls_bias.copy(),
-            ),
-        )
+        return ModelParams.from_blocks({name: arr.copy() for name, arr in self.blocks()})
 
 
-# Declared block order; the checkpoint payload and the SGD update follow it.
-_BLOCK_PATHS = (
-    ("latent_filters", ("latent", "filters")),
-    ("latent_offsets", ("latent", "offsets")),
-    ("attn_node_proj", ("attn", "node_proj")),
-    ("attn_node_vec", ("attn", "node_vec")),
-    ("attn_ctx_vec", ("attn", "ctx_vec")),
-    ("attn_bias", ("attn", "bias")),
-    ("attn_out", ("attn", "out")),
-    ("feat_weights", ("cls", "feat_weights")),
-    ("feat_bias", ("cls", "feat_bias")),
-    ("cls_weights", ("cls", "cls_weights")),
-    ("cls_bias", ("cls", "cls_bias")),
+# The parameter-block table: block name, owning stage group and attribute on
+# it, and the block's shape for a config. Its order is the order of the
+# checkpoint payload and of the SGD update.
+BLOCKS = (
+    ("latent_filters", "latent", "filters", lambda c: (c.n_patterns, c.input_dim)),
+    ("latent_offsets", "latent", "offsets", lambda c: (c.n_patterns,)),
+    ("attn_node_proj", "attn", "node_proj",
+     lambda c: (c.num_classes, c.effective_patterns)),
+    ("attn_node_vec", "attn", "node_vec", lambda c: (c.effective_patterns,)),
+    ("attn_ctx_vec", "attn", "ctx_vec", lambda c: (c.feature_dim,)),
+    ("attn_bias", "attn", "bias", lambda c: (c.num_classes,)),
+    ("attn_out", "attn", "out", lambda c: (c.num_classes,)),
+    ("feat_weights", "cls", "feat_weights", lambda c: (c.feature_dim, c.descriptor_dim)),
+    ("feat_bias", "cls", "feat_bias", lambda c: (c.feature_dim,)),
+    ("cls_weights", "cls", "cls_weights", lambda c: (c.num_classes, c.feature_dim)),
+    ("cls_bias", "cls", "cls_bias", lambda c: (c.num_classes,)),
 )
 
-BLOCK_NAMES = tuple(name for name, _ in _BLOCK_PATHS)
+BLOCK_NAMES = tuple(name for name, *_ in BLOCKS)
 
 
-@dataclass
+def block_shapes(config: TrainConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter block under ``config``, in table order."""
+    return [(name, shape(config)) for name, _, _, shape in BLOCKS]
+
+
 class Gradients:
-    """Per-block gradients mirroring :class:`ModelParams`."""
+    """Per-block gradients mirroring :class:`ModelParams`, one attribute per block."""
 
-    latent_filters: np.ndarray
-    latent_offsets: np.ndarray
-    attn_node_proj: np.ndarray
-    attn_node_vec: np.ndarray
-    attn_ctx_vec: np.ndarray
-    attn_bias: np.ndarray
-    attn_out: np.ndarray
-    feat_weights: np.ndarray
-    feat_bias: np.ndarray
-    cls_weights: np.ndarray
-    cls_bias: np.ndarray
+    def __init__(self, **arrays):
+        if set(arrays) != set(BLOCK_NAMES):
+            raise TypeError(f"gradients need exactly the blocks {BLOCK_NAMES}")
+        for name in BLOCK_NAMES:
+            setattr(self, name, arrays[name])
+
+    @classmethod
+    def fill(cls, params: ModelParams, computed: dict) -> "Gradients":
+        """The ``computed`` blocks, and zeros shaped like ``params`` for the rest."""
+        return cls(**{
+            name: computed[name] if name in computed else np.zeros_like(arr)
+            for name, arr in params.blocks()
+        })
 
     @classmethod
     def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls(**{name: np.zeros_like(arr) for name, arr in params.blocks()})
+        return cls.fill(params, {})
 
     def blocks(self):
-        for f in fields(self):
-            yield f.name, getattr(self, f.name)
+        for name in BLOCK_NAMES:
+            yield name, getattr(self, name)
 
     def add_(self, other: "Gradients") -> "Gradients":
         for name, arr in self.blocks():
@@ -237,18 +237,12 @@ def init_model(config: TrainConfig, rng: np.random.Generator) -> ModelParams:
 
 
 def validate_params(params: ModelParams, config: TrainConfig) -> None:
-    """Reject parameter containers whose shapes do not match the config."""
-    n = config.effective_patterns
-    checks = (
-        (params.latent.filters.shape, (config.n_patterns, config.input_dim)),
-        (params.attn.node_proj.shape, (config.num_classes, n)),
-        (params.attn.ctx_vec.shape, (config.feature_dim,)),
-        (params.cls.feat_weights.shape, (config.feature_dim, config.descriptor_dim)),
-        (params.cls.cls_weights.shape, (config.num_classes, config.feature_dim)),
-    )
-    for got, want in checks:
-        if got != want:
-            raise ValueError(f"parameter shape {got} does not match config ({want})")
+    """Reject parameter containers whose block shapes do not match the config."""
+    for (name, arr), (_, want) in zip(params.blocks(), block_shapes(config)):
+        if arr.shape != want:
+            raise ValueError(
+                f"parameter block {name} has shape {arr.shape}, config expects {want}"
+            )
 
 
 @dataclass
@@ -381,6 +375,8 @@ def backward(
 ) -> Gradients:
     """Gradients of this sample's -log P[label] for every parameter block.
 
+    Blocks the active flags leave out of the computation get exact zeros.
+
     The classifier weight matrix receives the classification-route gradient
     plus, unless ``drop_eq10_second_term`` is set, the attention-route
     gradient that flows through the score's shared context term.
@@ -389,13 +385,10 @@ def backward(
     _check_trace(trace, sample, config)
     feats = _check_sample(sample, config)
 
-    grads = Gradients.zeros_like(params)
     gfw, gfb, gcw_cls, gcb, grad_agg = classifier_backward(
         trace.agg, trace.global_feature, trace.probs, sample.label, params.cls
     )
-    grads.feat_weights = gfw
-    grads.feat_bias = gfb
-    grads.cls_bias = gcb
+    grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_bias": gcb}
     gcw_attn = None
 
     if config.pooled_mode:
@@ -419,11 +412,9 @@ def backward(
                 else params.cls.cls_weights
             )
             sg = scores_backward(attn_node, attn_cls, params.attn, grad_scores)
-            grads.attn_node_proj = sg.params.node_proj
-            grads.attn_node_vec = sg.params.node_vec
-            grads.attn_ctx_vec = sg.params.ctx_vec
-            grads.attn_bias = sg.params.bias
-            grads.attn_out = sg.params.out
+            for name, group, attr, _ in BLOCKS:
+                if group == "attn":
+                    grads[name] = getattr(sg.params, attr)
             if not config.no_attention_c:
                 grad_node = grad_node + sg.node_corr
             if not config.no_attention_wf:
@@ -437,13 +428,13 @@ def backward(
 
     if not config.no_latent:
         _, gfilters, goffsets = embed_backward(feats, params.latent, grad_embed)
-        grads.latent_filters = gfilters
-        grads.latent_offsets = goffsets
+        grads["latent_filters"] = gfilters
+        grads["latent_offsets"] = goffsets
 
-    grads.cls_weights = gcw_cls
+    grads["cls_weights"] = gcw_cls
     if gcw_attn is not None and not config.drop_eq10_second_term:
-        grads.cls_weights = gcw_cls + gcw_attn
-    return grads
+        grads["cls_weights"] = gcw_cls + gcw_attn
+    return Gradients.fill(params, grads)
 
 
 def sample_loss(trace: ForwardTrace, sample: ShapeSample) -> float:
@@ -459,21 +450,19 @@ def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.nd
     )
 
 
-def predict_proba(params: ModelParams, config: TrainConfig, dataset) -> np.ndarray:
-    """Class probabilities of every sample, (M, L)."""
-    return np.stack([forward(s, params, config).probs for s in dataset.samples])
-
-
 # -- checkpoint container ("3DVG-M") ------------------------------------------
 #
 # magic (6 bytes) | version u32 LE | config-JSON length u32 LE | config JSON
-# (UTF-8, sorted keys) | parameter payload: each block in declared order as
-# little-endian float64, row-major. Block shapes are derived from the config,
-# so the payload length is checked exactly.
+# (UTF-8, sorted keys) | parameter payload: each block in the order of the
+# BLOCKS table as little-endian float64, row-major. Block shapes are derived
+# from the config, so the payload length is checked exactly.
+
+# JSON types a checkpoint's config value may have, by TrainConfig field type.
+_CONFIG_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
-    """Write params + config to the binary checkpoint container."""
+    """Write params + config to the binary checkpoint container, atomically."""
     validate_params(params, config)
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -483,28 +472,20 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     buf.write(blob)
     for _, arr in params.blocks():
         buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    try:
-        with open(path, "wb") as fh:
-            fh.write(buf.getvalue())
-    except OSError as exc:
-        raise DataIOError(f"cannot write checkpoint {path}: {exc}") from exc
+    write_atomic(path, buf.getvalue(), "checkpoint")
 
 
-def _expected_block_shapes(config: TrainConfig) -> list[tuple[str, tuple[int, ...]]]:
-    n = config.effective_patterns
-    return [
-        ("latent_filters", (config.n_patterns, config.input_dim)),
-        ("latent_offsets", (config.n_patterns,)),
-        ("attn_node_proj", (config.num_classes, n)),
-        ("attn_node_vec", (n,)),
-        ("attn_ctx_vec", (config.feature_dim,)),
-        ("attn_bias", (config.num_classes,)),
-        ("attn_out", (config.num_classes,)),
-        ("feat_weights", (config.feature_dim, config.descriptor_dim)),
-        ("feat_bias", (config.feature_dim,)),
-        ("cls_weights", (config.num_classes, config.feature_dim)),
-        ("cls_bias", (config.num_classes,)),
-    ]
+def _check_config_types(cfg_dict: dict) -> None:
+    for f in fields(TrainConfig):
+        value = cfg_dict[f.name]
+        # bool is a subclass of int, so it is told apart explicitly
+        if isinstance(value, bool) != (f.type is bool) or not isinstance(
+            value, _CONFIG_JSON_TYPES[f.type]
+        ):
+            raise FormatError(
+                f"checkpoint config field {f.name} must be {f.type.__name__}, "
+                f"got {value!r}"
+            )
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
@@ -531,12 +512,13 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     known = {f.name for f in fields(TrainConfig)}
     if not isinstance(cfg_dict, dict) or set(cfg_dict) != known:
         raise FormatError("checkpoint config block has wrong fields")
+    _check_config_types(cfg_dict)
     try:
         config = TrainConfig(**cfg_dict)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
 
-    shapes = _expected_block_shapes(config)
+    shapes = block_shapes(config)
     offset = 14 + cfg_len
     expected = sum(int(np.prod(s)) for _, s in shapes) * 8
     if len(data) - offset != expected:
@@ -554,22 +536,5 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
             .astype(np.float64)
         )
         offset += count * 8
-    params = ModelParams(
-        latent=LatentMapParams(
-            filters=arrays["latent_filters"], offsets=arrays["latent_offsets"]
-        ),
-        attn=AttentionParams(
-            node_proj=arrays["attn_node_proj"],
-            node_vec=arrays["attn_node_vec"],
-            ctx_vec=arrays["attn_ctx_vec"],
-            bias=arrays["attn_bias"],
-            out=arrays["attn_out"],
-        ),
-        cls=ClassifierParams(
-            feat_weights=arrays["feat_weights"],
-            feat_bias=arrays["feat_bias"],
-            cls_weights=arrays["cls_weights"],
-            cls_bias=arrays["cls_bias"],
-        ),
-    )
+    params = ModelParams.from_blocks(arrays)
     return params, config

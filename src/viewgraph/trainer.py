@@ -98,6 +98,10 @@ def train(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     num = dataset.num_samples
     pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
+    # Builtin map runs one shape at a time and pool.map yields in sample order;
+    # either way each gradient joins the batch total as it arrives, so with
+    # one thread a single per-shape gradient is alive at a time.
+    mapper = map if pool is None else pool.map
 
     history = []
     stopped_early = False
@@ -111,14 +115,10 @@ def train(
             hits = 0
             for lo in range(0, num, config.batch_size):
                 batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
-                if pool is None:
-                    results = [_sample_pass(s, params, config) for s in batch]
-                else:
-                    results = list(
-                        pool.map(lambda s: _sample_pass(s, params, config), batch)
-                    )
                 total = Gradients.zeros_like(params)
-                for loss, grads, correct in results:
+                for loss, grads, correct in mapper(
+                    lambda s: _sample_pass(s, params, config), batch
+                ):
                     if not np.isfinite(loss):
                         raise RuntimeError(
                             f"training diverged: non-finite loss in epoch {epoch}, "
@@ -128,6 +128,7 @@ def train(
                     loss_sum += loss
                     hits += correct
                     total.add_(grads)
+                    del grads  # free it before the next shape's is built
                 total.scale_(1.0 / len(batch))
                 step = config.learning_rate
                 for name, arr in params.blocks():

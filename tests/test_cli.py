@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ class TestEvalCommand:
         code = main(["eval", "--model", str(model), "--data", str(other)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value", [("n_patterns", 4.0), ("threads", 2.0), ("no_latent", "no")]
+    )
+    def test_mistyped_checkpoint_config_fails_cleanly(self, tmp_path, capsys, field, value):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        model = train_model(data, tmp_path / "m.3dvgm")
+        blob = model.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", blob, 10)
+        config = json.loads(blob[14 : 14 + cfg_len])
+        new = json.dumps({**config, field: value}, sort_keys=True).encode()
+        model.write_bytes(blob[:10] + struct.pack("<I", len(new)) + new + blob[14 + cfg_len :])
+        code = main(["eval", "--model", str(model), "--data", str(data)])
+        assert code == 1
+        assert f"error: checkpoint config field {field}" in capsys.readouterr().err
 
 
 class TestRetrieveCommand:

@@ -1,11 +1,13 @@
 """Dataset container round trips, validation, and the synthetic generator."""
 
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import viewgraph.dataio as vgd
 from viewgraph.dataio import (
     DATASET_MAGIC,
     Dataset,
@@ -18,6 +20,7 @@ from viewgraph.dataio import (
 )
 from viewgraph.errors import DataIOError, FormatError, ValidationError
 from viewgraph.geometry import build_view_graph, default_viewpoints
+from viewgraph.model import TrainConfig, init_model, save_checkpoint
 
 
 class TestRoundTrip:
@@ -89,6 +92,48 @@ class TestRoundTrip:
         np.testing.assert_array_equal(
             rebuilt.samples[0].features, ds.samples[0].features
         )
+
+
+class _HalfWriteThenFail:
+    """File stand-in that writes half its bytes, then fails like a full disk."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _save_dataset(seed, path):
+    save(generate_synthetic(2, 2, 3, 4, 0.1, seed), path)
+
+
+def _save_checkpoint(seed, path):
+    cfg = TrainConfig(num_classes=2, input_dim=4, views=3, n_patterns=3, feature_dim=5)
+    save_checkpoint(path, init_model(cfg, np.random.default_rng(seed)), cfg)
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("writer", [_save_dataset, _save_checkpoint])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "out.bin"
+        writer(1, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            vgd, "open", lambda *a, **k: _HalfWriteThenFail(open(*a, **k)), raising=False
+        )
+        with pytest.raises(DataIOError):
+            writer(2, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestGenerator:

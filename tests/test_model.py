@@ -1,5 +1,8 @@
 """The composed network: forward traces, ablation flags, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,6 +46,20 @@ def make_instance(seed=0, views=4, classes=3, inp=5, patterns=4, feat=6, **flags
     sample = ShapeSample(label=int(rng.integers(classes)), features=feats, graph=graph)
     params = init_model(cfg, rng)
     return cfg, sample, params
+
+
+def read_config(path):
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    return json.loads(data[14 : 14 + cfg_len])
+
+
+def write_config(path, blob):
+    """Replace a checkpoint's config block, keeping its parameter payload."""
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    new = json.dumps(blob, sort_keys=True).encode()
+    path.write_bytes(data[:10] + struct.pack("<I", len(new)) + new + data[14 + cfg_len :])
 
 
 class TestConfig:
@@ -209,6 +226,23 @@ class TestBackwardRoutes:
         np.testing.assert_allclose(grads.attn_bias, 0.0, atol=1e-12)
 
 
+class TestBackwardBlocks:
+    @pytest.mark.parametrize("flag", (None,) + ALL_FLAGS)
+    def test_blocks_match_params_and_unused_are_zero(self, flag):
+        cfg, sample, params = make_instance(**({flag: True} if flag else {}))
+        grads = backward(forward(sample, params, cfg), sample, params, cfg)
+        unused = set()
+        if cfg.pooled_mode or cfg.no_attention:
+            unused |= {n for n in BLOCK_NAMES if n.startswith("attn_")}
+        if cfg.no_latent:
+            unused |= {"latent_filters", "latent_offsets"}
+        for name, arr in params.blocks():
+            g = getattr(grads, name)
+            assert g.shape == arr.shape, name
+            if name in unused:
+                assert not g.any(), name
+
+
 class TestParams:
     def test_block_iteration_order(self):
         cfg, _, params = make_instance()
@@ -226,6 +260,15 @@ class TestParams:
                             feature_dim=6)
         with pytest.raises(ValueError):
             validate_params(params, other)
+
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    def test_validate_params_checks_every_block(self, name):
+        cfg, _, params = make_instance()
+        _, group, attr, _ = next(b for b in vgm.BLOCKS if b[0] == name)
+        wrong = np.zeros(params.block(name).shape + (1,))
+        setattr(getattr(params, group), attr, wrong)
+        with pytest.raises(ValueError, match=name):
+            validate_params(params, cfg)
 
 
 class TestCheckpoint:
@@ -278,23 +321,36 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_config_field_tampering(self, tmp_path):
-        import json
-        import struct
-
         cfg, _, params = make_instance()
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
-        data = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", data, 10)
-        blob = json.loads(data[14 : 14 + cfg_len])
+        blob = read_config(path)
         blob.pop("sigma")
         blob["mystery"] = 1
-        new = json.dumps(blob, sort_keys=True).encode()
-        path.write_bytes(
-            data[:10] + struct.pack("<I", len(new)) + new + data[14 + cfg_len :]
-        )
+        write_config(path, blob)
         with pytest.raises(FormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_patterns", 4.0), ("threads", 2.0), ("no_latent", "no"),
+         ("batch_size", True), ("sigma", False)],
+    )
+    def test_config_value_type_tampering(self, tmp_path, field, value):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), field: value})
+        with pytest.raises(FormatError, match=field):
+            load_checkpoint(path)
+
+    def test_float_field_accepts_int(self, tmp_path):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), "sigma": 10})
+        _, loaded = load_checkpoint(path)
+        assert loaded.sigma == 10
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIOError):
