@@ -70,9 +70,8 @@ def _write_manifest(path, command: str, config, inputs: dict, outputs: list, sec
         "outputs": [str(p) for p in outputs],
         "wall_seconds": seconds,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    dataio.write_atomic(path, text.encode(), "manifest")
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -328,22 +327,17 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attention_dump(args) -> int:
-    import csv
-
     params, config, dataset = _load_model_and_data(args.model, args.data)
     if config.pooled_mode:
         raise ViewGraphError("pooled models have no attention weights to dump")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["shape_index", "view_index", "alpha", "is_max", "is_min"])
-        for si, sample in enumerate(dataset.samples):
-            alpha = forward(sample, params, config).alpha
-            top = int(np.argmax(alpha))
-            bottom = int(np.argmin(alpha))
-            for vi, a in enumerate(alpha):
-                writer.writerow(
-                    [si, vi, f"{a:.17g}", int(vi == top), int(vi == bottom)]
-                )
+    rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
+    for si, sample in enumerate(dataset.samples):
+        alpha = forward(sample, params, config).alpha
+        top = int(np.argmax(alpha))
+        bottom = int(np.argmin(alpha))
+        for vi, a in enumerate(alpha):
+            rows.append([si, vi, f"{a:.17g}", int(vi == top), int(vi == bottom)])
+    dataio.write_csv(args.out, rows, "attention CSV")
     log.info("wrote %s for %d shapes x %d views", args.out, dataset.num_samples, dataset.views)
     return 0
 

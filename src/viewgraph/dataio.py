@@ -22,6 +22,8 @@ fail with a typed error instead of an allocation blow-up.
 """
 
 import contextlib
+import csv
+import io
 import json
 import os
 import struct
@@ -165,6 +167,13 @@ def write_atomic(path, data: bytes, what: str) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)  # already gone after a successful rename
+
+
+def write_csv(path, rows, what: str) -> None:
+    """Render ``rows`` (header first) as CSV text and write it atomically."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue().encode(), what)
 
 
 def save(dataset: Dataset, path) -> None:

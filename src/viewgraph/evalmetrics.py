@@ -12,13 +12,14 @@ implementation that computes the same quantities with explicit loops gets
 bit-identical results, not merely close ones.
 """
 
-import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .dataio import write_csv
 from .model import forward
 
 
@@ -86,6 +87,11 @@ class RetrievalRun:
     def num_queries(self) -> int:
         return self.query_features.shape[0]
 
+    @cached_property
+    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """``rank_gallery(self)``, computed on first use and kept."""
+        return rank_gallery(self)
+
 
 def distance_matrix(
     queries: np.ndarray, gallery: np.ndarray, metric: str = "euclidean"
@@ -118,20 +124,25 @@ def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ranked, relevant)``: ranked is (queries, list length) int64,
     nearest first; relevant is the matching bool array. List length is the
-    gallery size, minus one under ``exclude_self``.
+    gallery size, minus one under ``exclude_self``. Metrics read the
+    ranking through ``run.ranking``, which computes it once per run.
     """
-    dists = distance_matrix(run.query_features, run.gallery_features, run.distance)
-    ranked_rows = []
-    for qi in range(run.num_queries):
-        row = dists[qi]
-        candidates = np.arange(row.shape[0])
-        if run.exclude_self:
-            candidates = candidates[candidates != qi]
-        order = np.argsort(row[candidates], kind="stable")
-        ranked_rows.append(candidates[order])
-    ranked = np.stack(ranked_rows)
+    ranked = np.argsort(
+        distance_matrix(run.query_features, run.gallery_features, run.distance),
+        axis=1, kind="stable",
+    )
+    if run.exclude_self:
+        # A stable order of the other items does not depend on the one removed.
+        keep = ranked != np.arange(run.num_queries)[:, None]
+        ranked = ranked[keep].reshape(run.num_queries, -1)
     relevant = run.gallery_labels[ranked] == run.query_labels[:, None]
     return ranked, relevant
+
+
+def _hit_precisions(relevant_row) -> np.ndarray:
+    """Precision at each relevant depth of a ranked list, nearest first."""
+    depths = np.flatnonzero(relevant_row) + 1
+    return np.arange(1, depths.size + 1) / depths
 
 
 def average_precision(relevant_row) -> float:
@@ -139,20 +150,15 @@ def average_precision(relevant_row) -> float:
 
     A list with no relevant items scores 0.
     """
-    hits = 0
-    precisions = []
-    for pos, rel in enumerate(relevant_row, start=1):
-        if rel:
-            hits += 1
-            precisions.append(hits / pos)
-    if hits == 0:
+    precisions = _hit_precisions(relevant_row)
+    if precisions.size == 0:
         return 0.0
-    return math.fsum(precisions) / hits
+    return math.fsum(precisions) / precisions.size
 
 
 def mean_average_precision(run: RetrievalRun) -> float:
     """Mean AP over all queries; zero-relevant queries count as 0."""
-    _, relevant = rank_gallery(run)
+    _, relevant = run.ranking
     return math.fsum(average_precision(row) for row in relevant) / run.num_queries
 
 
@@ -206,14 +212,8 @@ class RetrievalReport:
 
 
 def _mean_summary(rows: list) -> MetricSummary:
-    n = len(rows)
-    return MetricSummary(
-        precision=math.fsum(r.precision for r in rows) / n,
-        recall=math.fsum(r.recall for r in rows) / n,
-        f1=math.fsum(r.f1 for r in rows) / n,
-        map=math.fsum(r.ap for r in rows) / n,
-        ndcg=math.fsum(r.ndcg for r in rows) / n,
-    )
+    """Field-wise mean of (precision, recall, F1, AP, NDCG) tuples."""
+    return MetricSummary(*(math.fsum(col) / len(rows) for col in zip(*rows)))
 
 
 def shrec_metrics(run: RetrievalRun, cutoff: Optional[int] = None) -> RetrievalReport:
@@ -228,7 +228,7 @@ def shrec_metrics(run: RetrievalRun, cutoff: Optional[int] = None) -> RetrievalR
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    ranked, relevant = rank_gallery(run)
+    ranked, relevant = run.ranking
     list_len = ranked.shape[1]
     per_query = []
     for qi in range(run.num_queries):
@@ -260,18 +260,12 @@ def shrec_metrics(run: RetrievalRun, cutoff: Optional[int] = None) -> RetrievalR
                 ndcg=ndcg_at(row, k),
             )
         )
-    micro = _mean_summary(per_query)
+    scores = [(r.precision, r.recall, r.f1, r.ap, r.ndcg) for r in per_query]
     class_means = [
-        _mean_summary([r for r in per_query if r.label == label])
+        astuple(_mean_summary([s for s, r in zip(scores, per_query) if r.label == label]))
         for label in sorted({r.label for r in per_query})
     ]
-    macro = MetricSummary(
-        precision=math.fsum(m.precision for m in class_means) / len(class_means),
-        recall=math.fsum(m.recall for m in class_means) / len(class_means),
-        f1=math.fsum(m.f1 for m in class_means) / len(class_means),
-        map=math.fsum(m.map for m in class_means) / len(class_means),
-        ndcg=math.fsum(m.ndcg for m in class_means) / len(class_means),
-    )
+    micro, macro = _mean_summary(scores), _mean_summary(class_means)
     return RetrievalReport(per_query=per_query, micro=micro, macro=macro)
 
 
@@ -284,59 +278,49 @@ def pr_curve(run: RetrievalRun, points: int = 21) -> tuple[np.ndarray, np.ndarra
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    _, relevant = rank_gallery(run)
-    # Grid point t is exactly t/(points-1): elementwise division keeps every
-    # grid value correctly rounded, so threshold comparisons against exact
-    # stage recalls (hits/total) are reproducible across implementations.
-    grid = np.array([t / (points - 1) for t in range(points)], dtype=np.float64)
-    per_point = [[] for _ in range(points)]
-    for row in relevant:
-        total = int(np.count_nonzero(row))
-        if total == 0:
-            for bucket in per_point:
-                bucket.append(0.0)
+    _, relevant = run.ranking
+    # Grid point t is exactly t/(points-1), correctly rounded, as is every
+    # hit recall k/n, so the threshold comparisons are reproducible.
+    grid = np.arange(points) / (points - 1)
+    table = np.zeros((run.num_queries, points))
+    for qi, row in enumerate(relevant):
+        precisions = _hit_precisions(row)
+        n = precisions.size
+        if n == 0:
             continue
-        hits = 0
-        stages = []  # (recall, precision) at each depth
-        for pos, rel in enumerate(row, start=1):
-            hits += rel
-            stages.append((hits / total, hits / pos))
-        for t, r in enumerate(grid):
-            reachable = [p for rec, p in stages if rec >= r]
-            per_point[t].append(max(reachable) if reachable else 0.0)
-    precisions = np.array(
-        [math.fsum(bucket) / run.num_queries for bucket in per_point]
-    )
+        # Recall rises only at hits, and precision falls between them, so
+        # the best precision at recall >= r is the best over the hits from
+        # the first one reaching r on. The last hit has recall exactly 1.
+        best = np.maximum.accumulate(precisions[::-1])[::-1]
+        table[qi] = best[np.searchsorted(np.arange(1, n + 1) / n, grid)]
+    precisions = np.array([math.fsum(col) / run.num_queries for col in table.T])
     return grid, precisions
+
+
+def _digits(*values) -> list:
+    """Each float with 17 significant digits, enough to read it back exactly."""
+    return [f"{v:.17g}" for v in values]
 
 
 def write_metrics_csv(path, report: RetrievalReport) -> None:
     """Two-row summary table: micro and macro averages."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scope", "precision", "recall", "f1", "map", "ndcg"])
-        for scope, s in (("micro", report.micro), ("macro", report.macro)):
-            writer.writerow(
-                [scope] + [f"{v:.17g}" for v in (s.precision, s.recall, s.f1, s.map, s.ndcg)]
-            )
+    rows = [["scope", "precision", "recall", "f1", "map", "ndcg"]]
+    for scope, s in (("micro", report.micro), ("macro", report.macro)):
+        rows.append([scope] + _digits(s.precision, s.recall, s.f1, s.map, s.ndcg))
+    write_csv(path, rows, "metrics CSV")
 
 
 def write_per_query_csv(path, report: RetrievalReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["query", "label", "cutoff", "precision", "recall", "f1", "ap", "ndcg"]
+    rows = [["query", "label", "cutoff", "precision", "recall", "f1", "ap", "ndcg"]]
+    for r in report.per_query:
+        rows.append(
+            [r.query, r.label, r.cutoff]
+            + _digits(r.precision, r.recall, r.f1, r.ap, r.ndcg)
         )
-        for r in report.per_query:
-            writer.writerow(
-                [r.query, r.label, r.cutoff]
-                + [f"{v:.17g}" for v in (r.precision, r.recall, r.f1, r.ap, r.ndcg)]
-            )
+    write_csv(path, rows, "per-query CSV")
 
 
 def write_pr_csv(path, recalls: np.ndarray, precisions: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["recall", "precision"])
-        for r, p in zip(recalls, precisions):
-            writer.writerow([f"{r:.17g}", f"{p:.17g}"])
+    rows = [["recall", "precision"]]
+    rows += [_digits(r, p) for r, p in zip(recalls, precisions)]
+    write_csv(path, rows, "PR-curve CSV")

@@ -98,10 +98,15 @@ def train(
     shuffle_rng = np.random.default_rng([config.seed, 1])
     num = dataset.num_samples
     pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    # Builtin map runs one shape at a time and pool.map yields in sample order;
-    # either way each gradient joins the batch total as it arrives, so with
-    # one thread a single per-shape gradient is alive at a time.
     mapper = map if pool is None else pool.map
+
+    def passes(batch):
+        # Builtin map runs one shape at a time and pool.map yields in sample
+        # order, one window of ``threads`` shapes at a time; each gradient
+        # joins the batch total as it arrives, so at most ``threads`` wait.
+        for lo in range(0, len(batch), config.threads):
+            window = batch[lo : lo + config.threads]
+            yield from mapper(lambda s: _sample_pass(s, params, config), window)
 
     history = []
     stopped_early = False
@@ -116,9 +121,7 @@ def train(
             for lo in range(0, num, config.batch_size):
                 batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
                 total = Gradients.zeros_like(params)
-                for loss, grads, correct in mapper(
-                    lambda s: _sample_pass(s, params, config), batch
-                ):
+                for loss, grads, correct in passes(batch):
                     if not np.isfinite(loss):
                         raise RuntimeError(
                             f"training diverged: non-finite loss in epoch {epoch}, "

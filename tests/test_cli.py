@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from viewgraph import dataio
+from viewgraph import dataio, evalmetrics
 from viewgraph.cli import main
 from viewgraph.model import load_checkpoint
 
@@ -199,6 +199,31 @@ class TestRetrieveCommand:
         # interpolated precision can only fall as the recall grid rises
         precisions = [float(r[1]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(precisions, precisions[1:]))
+
+    def test_ranks_once(self, tmp_path, capsys, monkeypatch):
+        data, model = self.setup_run(tmp_path)
+        calls = []
+        rank = evalmetrics.rank_gallery
+
+        def counted(run):
+            calls.append(run)
+            return rank(run)
+
+        monkeypatch.setattr(evalmetrics, "rank_gallery", counted)
+        code = main([
+            "retrieve", "--model", str(model), "--data", str(data),
+            "--metrics-csv", str(tmp_path / "m.csv"),
+            "--per-query-csv", str(tmp_path / "q.csv"),
+            "--pr-csv", str(tmp_path / "pr.csv"),
+        ])
+        assert code == 0
+        assert len(calls) == 1
+        capsys.readouterr()
+
+        run = calls[0]
+        report = evalmetrics.shrec_metrics(run)
+        assert evalmetrics.mean_average_precision(run) == report.micro.map
+        assert len(calls) == 1
 
     def test_separate_gallery(self, tmp_path, capsys):
         data, model = self.setup_run(tmp_path)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import viewgraph.dataio as vgd
+from viewgraph import cli, evalmetrics
 from viewgraph.dataio import (
     DATASET_MAGIC,
     Dataset,
@@ -121,8 +122,36 @@ def _save_checkpoint(seed, path):
     save_checkpoint(path, init_model(cfg, np.random.default_rng(seed)), cfg)
 
 
+def _retrieval_report(seed):
+    rng = np.random.default_rng(seed)
+    run = evalmetrics.RetrievalRun.self_retrieval(
+        rng.standard_normal((6, 3)), [0, 0, 0, 1, 1, 1]
+    )
+    return evalmetrics.shrec_metrics(run)
+
+
+def _write_metrics_csv(seed, path):
+    evalmetrics.write_metrics_csv(path, _retrieval_report(seed))
+
+
+def _write_per_query_csv(seed, path):
+    evalmetrics.write_per_query_csv(path, _retrieval_report(seed))
+
+
+def _write_pr_csv(seed, path):
+    evalmetrics.write_pr_csv(path, np.linspace(0.0, 1.0, 5), np.full(5, 1.0 / seed))
+
+
+def _write_manifest(seed, path):
+    cli._write_manifest(path, "synth", None, {}, [f"out{seed}"], float(seed))
+
+
 class TestAtomicWrite:
-    @pytest.mark.parametrize("writer", [_save_dataset, _save_checkpoint])
+    @pytest.mark.parametrize(
+        "writer",
+        [_save_dataset, _save_checkpoint, _write_metrics_csv, _write_per_query_csv,
+         _write_pr_csv, _write_manifest],
+    )
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
         path = tmp_path / "out.bin"
         writer(1, path)

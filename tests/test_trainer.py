@@ -1,11 +1,15 @@
 """SGD loop behavior: determinism, convergence, stopping, divergence guards."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import viewgraph.trainer as vgt
 from viewgraph.dataio import generate_synthetic
 from viewgraph.evalmetrics import accuracy
-from viewgraph.model import BLOCK_NAMES, TrainConfig, init_model
+from viewgraph.model import BLOCK_NAMES, Gradients, TrainConfig, init_model
 from viewgraph.trainer import corrupt_block, grad_check, train
 
 
@@ -43,6 +47,33 @@ class TestDeterminism:
         multi = train(ds, small_config(epochs=5, threads=3))
         for name, arr in single.params.blocks():
             np.testing.assert_array_equal(arr, multi.params.block(name))
+
+    def test_threads_bound_the_unsummed_gradients(self, monkeypatch):
+        # A slow sum lets the workers run ahead; only a window of ``threads``
+        # shapes may be in flight, so at most that many gradients wait.
+        lock = threading.Lock()
+        waiting = [0]
+        most = [0]
+        sample_pass, add = vgt._sample_pass, Gradients.add_
+
+        def counted_pass(*args):
+            out = sample_pass(*args)
+            with lock:
+                waiting[0] += 1
+                most[0] = max(most[0], waiting[0])
+            return out
+
+        def slow_add(self, other):
+            time.sleep(0.01)
+            with lock:
+                waiting[0] -= 1
+            return add(self, other)
+
+        monkeypatch.setattr(vgt, "_sample_pass", counted_pass)
+        monkeypatch.setattr(Gradients, "add_", slow_add)
+        train(small_task(), small_config(epochs=1, batch_size=12, threads=3))
+        assert waiting[0] == 0
+        assert 1 <= most[0] <= 3
 
     def test_zero_learning_rate_freezes_parameters(self):
         ds = small_task()
