@@ -14,7 +14,6 @@ from .evalmetrics import RetrievalRun, accuracy, mean_average_precision, shrec_m
 from .geometry import ViewGraph, build_view_graph, default_viewpoints
 from .model import (
     ForwardTrace,
-    Gradients,
     ModelParams,
     TrainConfig,
     backward,
@@ -43,7 +42,6 @@ __all__ = [
     "build_view_graph",
     "default_viewpoints",
     "ForwardTrace",
-    "Gradients",
     "ModelParams",
     "TrainConfig",
     "backward",

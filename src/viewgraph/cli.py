@@ -110,8 +110,6 @@ def _add_optim_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--epochs", type=int, default=100)
     group.add_argument("--batch-size", type=int, default=16)
     group.add_argument("--seed", type=int, default=0)
-    group.add_argument("--threads", type=int, default=1,
-                       help="worker threads for per-sample passes (default 1)")
     group.add_argument("--plateau-patience", type=int, default=5,
                        help="epochs without loss improvement before stopping; 0 disables")
 
@@ -138,7 +136,6 @@ def _config_from_args(args, num_classes: int, views: int, input_dim: int) -> Tra
         max_pool=args.max_pool,
         drop_eq10_second_term=args.drop_eq10_second_term,
         plateau_patience=args.plateau_patience,
-        threads=args.threads,
     )
 
 

@@ -14,7 +14,7 @@ bit-identical results, not merely close ones.
 
 import math
 from dataclasses import astuple, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -162,6 +162,12 @@ def mean_average_precision(run: RetrievalRun) -> float:
     return math.fsum(average_precision(row) for row in relevant) / run.num_queries
 
 
+@lru_cache(maxsize=None)
+def _ideal_dcg(depth: int) -> float:
+    """DCG of a list whose first ``depth`` items are all relevant."""
+    return math.fsum(1.0 / math.log2(pos + 1) for pos in range(1, depth + 1))
+
+
 def ndcg_at(relevant_row, k: int) -> float:
     """Binary-gain NDCG with a log2 position discount, over the first k."""
     if k <= 0:
@@ -174,8 +180,7 @@ def ndcg_at(relevant_row, k: int) -> float:
         for pos, rel in enumerate(relevant_row[:k], start=1)
         if rel
     )
-    ideal = math.fsum(1.0 / math.log2(pos + 1) for pos in range(1, min(total, k) + 1))
-    return dcg / ideal
+    return dcg / _ideal_dcg(min(total, k))
 
 
 @dataclass

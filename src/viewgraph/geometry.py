@@ -173,8 +173,8 @@ def build_view_graph(directions: np.ndarray, sigma: float) -> ViewGraph:
         raise ValueError(f"directions must be (V, 3), got shape {directions.shape}")
     if directions.shape[0] < 1:
         raise ValueError("need at least one direction")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.linalg.norm(directions, axis=1)
     off = np.abs(norms - 1.0)

@@ -22,6 +22,7 @@ import io
 import json
 import struct
 from dataclasses import asdict, dataclass, fields
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -83,23 +84,22 @@ class TrainConfig:
     max_pool: bool = False
     drop_eq10_second_term: bool = False
     plateau_patience: int = 5
-    plateau_rel_tol: float = 1e-5
-    threads: int = 1
 
     def __post_init__(self):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
-        for name in ("input_dim", "views", "feature_dim", "batch_size", "threads"):
+        for name in ("input_dim", "views", "feature_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.n_patterns < 2:
             raise ValueError("n_patterns must be >= 2")
         # Zero learning rate is allowed: it runs the full pipeline with
-        # parameters frozen, which the determinism checks rely on.
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        # parameters frozen, which the determinism checks rely on. The
+        # comparisons are written so that NaN fails them.
+        for name in ("learning_rate", "sigma"):
+            value = getattr(self, name)
+            if not 0.0 <= value < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 0 or self.plateau_patience < 0:
             raise ValueError("epochs and plateau_patience must be >= 0")
         if self.mean_pool and self.max_pool:
@@ -181,42 +181,6 @@ BLOCK_NAMES = tuple(name for name, *_ in BLOCKS)
 def block_shapes(config: TrainConfig) -> list[tuple[str, tuple[int, ...]]]:
     """(name, shape) of every parameter block under ``config``, in table order."""
     return [(name, shape(config)) for name, _, _, shape in BLOCKS]
-
-
-class Gradients:
-    """Per-block gradients mirroring :class:`ModelParams`, one attribute per block."""
-
-    def __init__(self, **arrays):
-        if set(arrays) != set(BLOCK_NAMES):
-            raise TypeError(f"gradients need exactly the blocks {BLOCK_NAMES}")
-        for name in BLOCK_NAMES:
-            setattr(self, name, arrays[name])
-
-    @classmethod
-    def fill(cls, params: ModelParams, computed: dict) -> "Gradients":
-        """The ``computed`` blocks, and zeros shaped like ``params`` for the rest."""
-        return cls(**{
-            name: computed[name] if name in computed else np.zeros_like(arr)
-            for name, arr in params.blocks()
-        })
-
-    @classmethod
-    def zeros_like(cls, params: ModelParams) -> "Gradients":
-        return cls.fill(params, {})
-
-    def blocks(self):
-        for name in BLOCK_NAMES:
-            yield name, getattr(self, name)
-
-    def add_(self, other: "Gradients") -> "Gradients":
-        for name, arr in self.blocks():
-            arr += getattr(other, name)
-        return self
-
-    def scale_(self, factor: float) -> "Gradients":
-        for _, arr in self.blocks():
-            arr *= factor
-        return self
 
 
 def init_model(config: TrainConfig, rng: np.random.Generator) -> ModelParams:
@@ -372,10 +336,12 @@ def backward(
     sample: ShapeSample,
     params: ModelParams,
     config: TrainConfig,
-) -> Gradients:
-    """Gradients of this sample's -log P[label] for every parameter block.
+) -> SimpleNamespace:
+    """Gradients of this sample's -log P[label], one attribute per block.
 
-    Blocks the active flags leave out of the computation get exact zeros.
+    Only the blocks the active flags compute are present; the ones they
+    leave out of the computation (``latent_*`` under ``no_latent``,
+    ``attn_*`` under ``no_attention`` and the pooled modes) are absent.
 
     The classifier weight matrix receives the classification-route gradient
     plus, unless ``drop_eq10_second_term`` is set, the attention-route
@@ -434,7 +400,7 @@ def backward(
     grads["cls_weights"] = gcw_cls
     if gcw_attn is not None and not config.drop_eq10_second_term:
         grads["cls_weights"] = gcw_cls + gcw_attn
-    return Gradients.fill(params, grads)
+    return SimpleNamespace(**grads)
 
 
 def sample_loss(trace: ForwardTrace, sample: ShapeSample) -> float:
@@ -460,6 +426,10 @@ def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.nd
 # JSON types a checkpoint's config value may have, by TrainConfig field type.
 _CONFIG_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
+# Fields that older checkpoints carry but TrainConfig no longer has. They are
+# type-checked like the others and then dropped, so those checkpoints load.
+_RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float}
+
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     """Write params + config to the binary checkpoint container, atomically."""
@@ -476,14 +446,15 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
 
 
 def _check_config_types(cfg_dict: dict) -> None:
-    for f in fields(TrainConfig):
-        value = cfg_dict[f.name]
+    types = {f.name: f.type for f in fields(TrainConfig)} | _RETIRED_FIELDS
+    for name, value in cfg_dict.items():
+        ftype = types[name]
         # bool is a subclass of int, so it is told apart explicitly
-        if isinstance(value, bool) != (f.type is bool) or not isinstance(
-            value, _CONFIG_JSON_TYPES[f.type]
+        if isinstance(value, bool) != (ftype is bool) or not isinstance(
+            value, _CONFIG_JSON_TYPES[ftype]
         ):
             raise FormatError(
-                f"checkpoint config field {f.name} must be {f.type.__name__}, "
+                f"checkpoint config field {name} must be {ftype.__name__}, "
                 f"got {value!r}"
             )
 
@@ -510,11 +481,11 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"checkpoint config block is not valid JSON: {exc}") from exc
     known = {f.name for f in fields(TrainConfig)}
-    if not isinstance(cfg_dict, dict) or set(cfg_dict) != known:
+    if not isinstance(cfg_dict, dict) or set(cfg_dict) - set(_RETIRED_FIELDS) != known:
         raise FormatError("checkpoint config block has wrong fields")
     _check_config_types(cfg_dict)
     try:
-        config = TrainConfig(**cfg_dict)
+        config = TrainConfig(**{name: cfg_dict[name] for name in known})
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
 

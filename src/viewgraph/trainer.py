@@ -2,19 +2,16 @@
 
 Everything here is deterministic for a given (dataset, config): parameter
 init draws from one seeded stream, epoch shuffles from another, and batch
-gradients are reduced in sample order even when per-sample work is spread
-across threads.
+gradients are summed one shape at a time in sample order.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataio import Dataset
 from .model import (
-    Gradients,
     ModelParams,
     TrainConfig,
     backward,
@@ -23,6 +20,10 @@ from .model import (
     sample_loss,
     validate_params,
 )
+
+# Relative improvement of the epoch loss over its best value that resets the
+# plateau counter.
+PLATEAU_REL_TOL = 1e-5
 
 
 @dataclass
@@ -65,14 +66,6 @@ def _check_compat(dataset: Dataset, config: TrainConfig) -> Dataset:
     return dataset
 
 
-def _sample_pass(sample, params, config):
-    trace = forward(sample, params, config)
-    loss = sample_loss(trace, sample)
-    grads = backward(trace, sample, params, config)
-    correct = int(np.argmax(trace.probs)) == sample.label
-    return loss, grads, correct
-
-
 def train(
     dataset: Dataset,
     config: TrainConfig,
@@ -86,8 +79,9 @@ def train(
     :class:`EpochStats`; returning a truthy value stops training after that
     epoch. Training also stops once the epoch loss has gone
     ``plateau_patience`` consecutive epochs without improving on its best
-    value by a relative ``plateau_rel_tol`` (patience 0 disables this).
-    Raises RuntimeError if the loss or any parameter goes non-finite.
+    value by a relative ``PLATEAU_REL_TOL`` (patience 0 disables this).
+    Raises RuntimeError if the loss, a forward stage or any parameter goes
+    non-finite.
     """
     dataset = _check_compat(dataset, config)
     if params is None:
@@ -97,73 +91,69 @@ def train(
         validate_params(params, config)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     num = dataset.num_samples
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    mapper = map if pool is None else pool.map
-
-    def passes(batch):
-        # Builtin map runs one shape at a time and pool.map yields in sample
-        # order, one window of ``threads`` shapes at a time; each gradient
-        # joins the batch total as it arrives, so at most ``threads`` wait.
-        for lo in range(0, len(batch), config.threads):
-            window = batch[lo : lo + config.threads]
-            yield from mapper(lambda s: _sample_pass(s, params, config), window)
-
     history = []
     stopped_early = False
     best_loss = np.inf
     stall = 0
-    try:
-        for epoch in range(config.epochs):
-            started = time.perf_counter()
-            order = shuffle_rng.permutation(num)
-            loss_sum = 0.0
-            hits = 0
-            for lo in range(0, num, config.batch_size):
-                batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
-                total = Gradients.zeros_like(params)
-                for loss, grads, correct in passes(batch):
+    for epoch in range(config.epochs):
+        started = time.perf_counter()
+        order = shuffle_rng.permutation(num)
+        loss_sum = 0.0
+        hits = 0
+        for lo in range(0, num, config.batch_size):
+            batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
+            total = None
+            for sample in batch:
+                try:
+                    trace = forward(sample, params, config)
+                    loss = sample_loss(trace, sample)
                     if not np.isfinite(loss):
-                        raise RuntimeError(
-                            f"training diverged: non-finite loss in epoch {epoch}, "
-                            f"batch starting at {lo} (learning rate "
-                            f"{config.learning_rate}, sigma {config.sigma})"
-                        )
-                    loss_sum += loss
-                    hits += correct
-                    total.add_(grads)
-                    del grads  # free it before the next shape's is built
-                total.scale_(1.0 / len(batch))
-                step = config.learning_rate
-                for name, arr in params.blocks():
-                    arr -= step * getattr(total, name)
-            for name, arr in params.blocks():
-                if not np.isfinite(arr).all():
+                        raise ValueError("non-finite loss")
+                except ValueError as exc:
+                    # The data passed its checks, so huge parameters made a
+                    # stage non-finite.
                     raise RuntimeError(
-                        f"training diverged: block '{name}' went non-finite during "
-                        f"epoch {epoch} (learning rate {config.learning_rate})"
-                    )
-            stats = EpochStats(
-                epoch=epoch,
-                loss=loss_sum / num,
-                accuracy=hits / num,
-                seconds=time.perf_counter() - started,
-            )
-            history.append(stats)
-            if callback is not None and callback(stats):
-                stopped_early = True
-                break
-            if config.plateau_patience > 0:
-                if stats.loss < best_loss * (1.0 - config.plateau_rel_tol):
-                    best_loss = stats.loss
-                    stall = 0
-                else:
-                    stall += 1
-                    if stall >= config.plateau_patience:
-                        stopped_early = True
-                        break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                        f"training diverged: {exc} in epoch {epoch}, batch starting "
+                        f"at {lo} (learning rate {config.learning_rate}, sigma "
+                        f"{config.sigma})"
+                    ) from exc
+                loss_sum += loss
+                hits += int(np.argmax(trace.probs)) == sample.label
+                grads = vars(backward(trace, sample, params, config))
+                if total is None:
+                    total = {name: np.zeros_like(g) for name, g in grads.items()}
+                for name, g in grads.items():
+                    total[name] += g
+                del trace, grads  # free them before the next shape's are built
+            for name, arr in params.blocks():
+                if name in total:
+                    total[name] *= 1.0 / len(batch)
+                    arr -= config.learning_rate * total[name]
+        for name, arr in params.blocks():
+            if not np.isfinite(arr).all():
+                raise RuntimeError(
+                    f"training diverged: block '{name}' went non-finite during "
+                    f"epoch {epoch} (learning rate {config.learning_rate})"
+                )
+        stats = EpochStats(
+            epoch=epoch,
+            loss=loss_sum / num,
+            accuracy=hits / num,
+            seconds=time.perf_counter() - started,
+        )
+        history.append(stats)
+        if callback is not None and callback(stats):
+            stopped_early = True
+            break
+        if config.plateau_patience > 0:
+            if stats.loss < best_loss * (1.0 - PLATEAU_REL_TOL):
+                best_loss = stats.loss
+                stall = 0
+            else:
+                stall += 1
+                if stall >= config.plateau_patience:
+                    stopped_early = True
+                    break
     return TrainResult(params=params, history=history, stopped_early=stopped_early)
 
 
@@ -188,7 +178,9 @@ def grad_check(
     Returns {block name: relative error}, where the relative error is the
     block's max absolute analytic/numeric difference over the larger of the
     block's max absolute numeric gradient and a small floor (so blocks with
-    genuinely zero gradient compare cleanly). ``grad_hook`` can mutate the
+    genuinely zero gradient compare cleanly). A block the active flags leave
+    out of the computation has no analytic gradient and counts as zero.
+    ``grad_hook`` can mutate the
     analytic gradients before comparison; tests use it to confirm the check
     actually fails on wrong gradients.
     """
@@ -205,7 +197,7 @@ def grad_check(
 
     report = {}
     for name, arr in work.blocks():
-        a = getattr(analytic, name)
+        a = getattr(analytic, name, 0.0)
         numeric = np.zeros_like(arr)
         flat = arr.reshape(-1)
         nflat = numeric.reshape(-1)
@@ -221,7 +213,3 @@ def grad_check(
         report[name] = float(np.abs(a - numeric).max(initial=0.0) / scale)
     return report
 
-
-def corrupt_block(grads: Gradients, name: str) -> None:
-    """Add 1.0 to one gradient block in place (negative control for grad_check)."""
-    getattr(grads, name).__iadd__(1.0)

@@ -126,6 +126,30 @@ class TestTrainCommand:
         _, config = load_checkpoint(model)
         assert config.mean_pool
 
+    def test_threads_flag_is_gone(self, tmp_path):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        with pytest.raises(SystemExit) as excinfo:
+            train_model(data, tmp_path / "m.3dvgm", "--threads", "2")
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--sigma", "--learning-rate"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_float_fails_before_training(self, tmp_path, capsys, flag, value):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        log_file = tmp_path / "epochs.jsonl"
+        code = main([
+            "train", "--data", str(data), "--out", str(tmp_path / "m.3dvgm"),
+            "--epochs", "1", "--log-file", str(log_file), flag, value,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        field = flag[2:].replace("-", "_")
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert f"{field} must be finite and >= 0, got {value}" in errors[0]
+        assert "epoch" not in err
+        assert not log_file.exists()
+
 
 class TestEvalCommand:
     def test_reports_accuracy_json(self, tmp_path, capsys):

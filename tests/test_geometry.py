@@ -168,8 +168,9 @@ class TestBuildViewGraph:
                 build_view_graph(dirs, 3.0)
 
     def test_rejects_negative_sigma_and_bad_shape(self):
-        with pytest.raises(ValueError):
-            build_view_graph(default_viewpoints(4), -2.0)
+        for sigma in (-2.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                build_view_graph(default_viewpoints(4), sigma)
         with pytest.raises(ValueError):
             build_view_graph(np.ones((3, 2)), 1.0)
 

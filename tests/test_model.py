@@ -68,10 +68,11 @@ class TestConfig:
             TrainConfig(num_classes=1)
         with pytest.raises(ValueError):
             TrainConfig(num_classes=3, n_patterns=1)
-        with pytest.raises(ValueError):
-            TrainConfig(num_classes=3, learning_rate=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(num_classes=3, sigma=-1.0)
+        for value in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="learning_rate"):
+                TrainConfig(num_classes=3, learning_rate=value)
+            with pytest.raises(ValueError, match="sigma"):
+                TrainConfig(num_classes=3, sigma=value)
         with pytest.raises(ValueError):
             TrainConfig(num_classes=3, mean_pool=True, max_pool=True)
         # a zero learning rate is a legal frozen-parameter run
@@ -154,7 +155,8 @@ class TestForward:
         np.testing.assert_array_equal(t0.global_feature, tn.global_feature)
         g0 = backward(t0, s0, params, cfg0)
         gn = backward(tn, sn, params, cfgn)
-        for name, arr in g0.blocks():
+        assert vars(g0).keys() == vars(gn).keys()
+        for name, arr in vars(g0).items():
             np.testing.assert_array_equal(arr, getattr(gn, name))
 
     def test_context_blind_scores_still_classify_identically(self):
@@ -209,7 +211,7 @@ class TestBackwardRoutes:
         trace = forward(sample, params, cfg)
         g_full = backward(trace, sample, params, cfg)
         g_drop = backward(trace, sample, params, cfg_drop)
-        for name, arr in g_full.blocks():
+        for name, arr in vars(g_full).items():
             if name == "cls_weights":
                 continue
             np.testing.assert_array_equal(arr, getattr(g_drop, name))
@@ -229,6 +231,7 @@ class TestBackwardRoutes:
 class TestBackwardBlocks:
     @pytest.mark.parametrize("flag", (None,) + ALL_FLAGS)
     def test_blocks_match_params_and_unused_are_zero(self, flag):
+        # Unused blocks are absent, which train and grad_check read as zero.
         cfg, sample, params = make_instance(**({flag: True} if flag else {}))
         grads = backward(forward(sample, params, cfg), sample, params, cfg)
         unused = set()
@@ -236,11 +239,9 @@ class TestBackwardBlocks:
             unused |= {n for n in BLOCK_NAMES if n.startswith("attn_")}
         if cfg.no_latent:
             unused |= {"latent_filters", "latent_offsets"}
-        for name, arr in params.blocks():
-            g = getattr(grads, name)
-            assert g.shape == arr.shape, name
-            if name in unused:
-                assert not g.any(), name
+        assert set(vars(grads)) == set(BLOCK_NAMES) - unused
+        for name, g in vars(grads).items():
+            assert g.shape == params.block(name).shape, name
 
 
 class TestParams:
@@ -341,6 +342,35 @@ class TestCheckpoint:
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
         write_config(path, {**read_config(path), field: value})
+        with pytest.raises(FormatError, match=field):
+            load_checkpoint(path)
+
+    def test_saved_config_has_no_retired_fields(self, tmp_path):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        blob = read_config(path)
+        assert "threads" not in blob and "plateau_rel_tol" not in blob
+
+    def test_retired_fields_still_load(self, tmp_path):
+        # the layout written before ``threads`` and ``plateau_rel_tol`` left
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), "threads": 1, "plateau_rel_tol": 1e-05})
+        loaded_params, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert not hasattr(loaded_cfg, "threads")
+        assert not hasattr(loaded_cfg, "plateau_rel_tol")
+        for name, arr in params.blocks():
+            np.testing.assert_array_equal(arr, loaded_params.block(name))
+
+    @pytest.mark.parametrize("field", ["sigma", "learning_rate"])
+    def test_non_finite_config_float_is_rejected(self, tmp_path, field):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), field: float("nan")})
         with pytest.raises(FormatError, match=field):
             load_checkpoint(path)
 

@@ -1,16 +1,12 @@
 """SGD loop behavior: determinism, convergence, stopping, divergence guards."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
-import viewgraph.trainer as vgt
 from viewgraph.dataio import generate_synthetic
 from viewgraph.evalmetrics import accuracy
-from viewgraph.model import BLOCK_NAMES, Gradients, TrainConfig, init_model
-from viewgraph.trainer import corrupt_block, grad_check, train
+from viewgraph.model import BLOCK_NAMES, TrainConfig, init_model
+from viewgraph.trainer import grad_check, train
 
 
 def small_task(noise=0.05, seed=11):
@@ -40,40 +36,6 @@ class TestDeterminism:
         a = train(ds, small_config(epochs=4, seed=1))
         b = train(ds, small_config(epochs=4, seed=2))
         assert not np.array_equal(a.params.latent.filters, b.params.latent.filters)
-
-    def test_threads_do_not_change_the_result(self):
-        ds = small_task()
-        single = train(ds, small_config(epochs=5, threads=1))
-        multi = train(ds, small_config(epochs=5, threads=3))
-        for name, arr in single.params.blocks():
-            np.testing.assert_array_equal(arr, multi.params.block(name))
-
-    def test_threads_bound_the_unsummed_gradients(self, monkeypatch):
-        # A slow sum lets the workers run ahead; only a window of ``threads``
-        # shapes may be in flight, so at most that many gradients wait.
-        lock = threading.Lock()
-        waiting = [0]
-        most = [0]
-        sample_pass, add = vgt._sample_pass, Gradients.add_
-
-        def counted_pass(*args):
-            out = sample_pass(*args)
-            with lock:
-                waiting[0] += 1
-                most[0] = max(most[0], waiting[0])
-            return out
-
-        def slow_add(self, other):
-            time.sleep(0.01)
-            with lock:
-                waiting[0] -= 1
-            return add(self, other)
-
-        monkeypatch.setattr(vgt, "_sample_pass", counted_pass)
-        monkeypatch.setattr(Gradients, "add_", slow_add)
-        train(small_task(), small_config(epochs=1, batch_size=12, threads=3))
-        assert waiting[0] == 0
-        assert 1 <= most[0] <= 3
 
     def test_zero_learning_rate_freezes_parameters(self):
         ds = small_task()
@@ -141,7 +103,8 @@ class TestStopping:
 class TestGuards:
     def test_divergence_raises_runtime_error(self):
         ds = small_task()
-        cfg = small_config(epochs=2, batch_size=32, learning_rate=float("inf"))
+        # a finite but huge step overflows the parameters after one update
+        cfg = small_config(epochs=2, batch_size=32, learning_rate=1e300)
         with pytest.raises(RuntimeError, match="diverged"):
             train(ds, cfg)
 
@@ -188,10 +151,19 @@ class TestGradCheck:
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_corrupted_block_is_detected(self, name):
         sample, params, cfg = self._instance()
-        report = grad_check(
-            sample, params, cfg, grad_hook=lambda g: corrupt_block(g, name)
-        )
+
+        def corrupt(grads):
+            getattr(grads, name)[...] += 1.0
+
+        report = grad_check(sample, params, cfg, grad_hook=corrupt)
         assert report[name] > 1e-2
+
+    @pytest.mark.parametrize("flag", ["no_latent", "mean_pool"])
+    def test_blocks_left_out_compare_as_zero(self, flag):
+        sample, params, cfg = self._instance(**{flag: True})
+        report = grad_check(sample, params, cfg)
+        assert set(report) == set(BLOCK_NAMES)
+        assert max(report.values()) < 1e-5
 
     def test_rejects_bad_step(self):
         sample, params, cfg = self._instance()
