@@ -1,25 +1,25 @@
 """Attention over view nodes and attention-weighted aggregation.
 
 Each node's cumulative correlation is projected into class space
-(``node_proj @ C_j @ node_vec``), shifted by a term shared across nodes
-(``cls_weights @ ctx_vec + bias``) that lets the score see the classifier's
-accumulated view of all classes, and reduced to a scalar score by the
+(``node_proj @ C_j @ node_vec``) and reduced to a scalar score by the
 ``out`` vector. Scores are softmax-normalized into weights that convexly
 combine the per-node matrices into one shape descriptor. Because both the
 weights and the matrices permute together under any reordering of the
 views, the aggregate is invariant to view relabeling.
 
-The classifier weight matrix enters the score on purpose: its gradient
-therefore has two routes, one through the classification loss and one
-through the attention weights, and the backward pass here reports the
-attention-route term separately so the trainer can apply or drop it.
+The score has no term shared across nodes. A shared term, such as the
+classifier weights' context ``(cls_weights @ ctx_vec + bias) @ out``,
+shifts every score by the same amount, and softmax ignores a shared
+shift: it could change neither the weights nor any gradient, so it is not
+computed. ``ctx_vec`` and ``bias`` stay in :class:`AttentionParams` (and in
+the checkpoint layout) but take no part in the scores.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import softmax_grad, stable_softmax
+from .numeric import stable_softmax
 
 
 @dataclass
@@ -30,8 +30,8 @@ class AttentionParams:
         node_proj: (L, N) projection applied to each node matrix from the left.
         node_vec: (N,) vector applied from the right (unused when nodes are
             vector-valued, as in the correlation-free ablation).
-        ctx_vec: (F,) vector projecting the classifier weights into class space.
-        bias: (L,) bias in class space.
+        ctx_vec: (F,) unused: a context term shared by all nodes.
+        bias: (L,) unused: a class-space bias shared by all nodes.
         out: (L,) final linear reduction to a scalar score.
     """
 
@@ -100,30 +100,9 @@ def _node_term(node_corr: np.ndarray, params: AttentionParams) -> np.ndarray:
     raise ValueError(f"node input must be 2-D or 3-D, got shape {node_corr.shape}")
 
 
-def attention_projections(
-    node_corr: np.ndarray, cls_weights: np.ndarray, params: AttentionParams
-) -> np.ndarray:
-    """Class-space projection of every node, (V, L).
-
-    The shared term ``cls_weights @ ctx_vec + bias`` is computed once and
-    broadcast over nodes.
-    """
-    cls_weights = np.asarray(cls_weights, dtype=np.float64)
-    num_classes = params.node_proj.shape[0]
-    if cls_weights.shape != (num_classes, params.ctx_vec.shape[0]):
-        raise ValueError(
-            f"classifier weights must be ({num_classes}, {params.ctx_vec.shape[0]}), "
-            f"got {cls_weights.shape}"
-        )
-    shared = cls_weights @ params.ctx_vec + params.bias
-    return _node_term(node_corr, params) + shared
-
-
-def attention_scores(
-    node_corr: np.ndarray, cls_weights: np.ndarray, params: AttentionParams
-) -> np.ndarray:
+def attention_scores(node_corr: np.ndarray, params: AttentionParams) -> np.ndarray:
     """Raw (unnormalized) scalar score per view node, (V,)."""
-    return attention_projections(node_corr, cls_weights, params) @ params.out
+    return _node_term(node_corr, params) @ params.out
 
 
 def normalize_attention(scores: np.ndarray) -> np.ndarray:
@@ -157,73 +136,26 @@ def aggregate_backward(
     return grad_nodes, grad_alpha
 
 
-@dataclass
-class AttentionGrads:
-    """Gradients for the attention parameters plus the two extra routes."""
-
-    params: AttentionParams
-    node_corr: np.ndarray
-    cls_weights: np.ndarray
-
-
 def scores_backward(
-    node_corr: np.ndarray,
-    cls_weights: np.ndarray,
-    params: AttentionParams,
-    grad_scores: np.ndarray,
-) -> AttentionGrads:
-    """Backward of :func:`attention_scores` through the shared and per-node terms.
+    node_corr: np.ndarray, params: AttentionParams, grad_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+    """Backward of :func:`attention_scores`.
 
-    Returns parameter gradients together with the gradients flowing to the
-    node descriptors and, through the shared context term, to the classifier
-    weight matrix (the attention route of its two-route update).
+    Returns ``(grad_node_proj, grad_node_vec, grad_out, grad_nodes)``: the
+    gradients of the three parameters the scores use and of the node
+    descriptors. ``grad_node_vec`` is None for vector-valued nodes, which
+    skip the ``node_vec`` contraction.
     """
     node_corr = np.asarray(node_corr, dtype=np.float64)
     grad_scores = np.asarray(grad_scores, dtype=np.float64)
     proj_grad = grad_scores[:, None] * params.out[None, :]  # (V, L)
-    proj = attention_projections(node_corr, cls_weights, params)
-    grad_out = proj.T @ grad_scores
-    summed = proj_grad.sum(axis=0)  # (L,)
-    grad_bias = summed
-    grad_ctx = cls_weights.T @ summed
-    grad_cls = np.outer(summed, params.ctx_vec)
     back = proj_grad @ params.node_proj  # (V, N)
     if node_corr.ndim == 3:
         collapsed = node_corr @ params.node_vec  # (V, N)
-        grad_node_proj = proj_grad.T @ collapsed
         grad_node_vec = np.einsum("vnm,vn->m", node_corr, back)
         grad_nodes = np.einsum("vn,m->vnm", back, params.node_vec)
     else:
-        grad_node_proj = proj_grad.T @ node_corr
-        grad_node_vec = np.zeros_like(params.node_vec)
-        grad_nodes = back
-    pgrads = AttentionParams(
-        node_proj=grad_node_proj,
-        node_vec=grad_node_vec,
-        ctx_vec=grad_ctx,
-        bias=grad_bias,
-        out=grad_out,
-    )
-    return AttentionGrads(params=pgrads, node_corr=grad_nodes, cls_weights=grad_cls)
-
-
-def attention_backward(
-    node_corr: np.ndarray,
-    cls_weights: np.ndarray,
-    params: AttentionParams,
-    grad_agg: np.ndarray,
-) -> AttentionGrads:
-    """Full backward for scores -> softmax -> aggregation, unablated path.
-
-    ``grad_agg`` is the upstream gradient w.r.t. the aggregated descriptor.
-    The returned node gradient combines the aggregation route (weighted by
-    each alpha) with the score route; ``cls_weights`` in the result is the
-    attention-route gradient of the classifier weights only.
-    """
-    scores = attention_scores(node_corr, cls_weights, params)
-    alpha = normalize_attention(scores)
-    grad_nodes_agg, grad_alpha = aggregate_backward(node_corr, alpha, grad_agg)
-    grad_scores = softmax_grad(alpha, grad_alpha)
-    sgrads = scores_backward(node_corr, cls_weights, params, grad_scores)
-    sgrads.node_corr = sgrads.node_corr + grad_nodes_agg
-    return sgrads
+        collapsed, grad_node_vec, grad_nodes = node_corr, None, back
+    # (collapsed @ node_proj.T) is the node term the forward pass scored
+    grad_out = (collapsed @ params.node_proj.T).T @ grad_scores
+    return proj_grad.T @ collapsed, grad_node_vec, grad_out, grad_nodes

@@ -2,29 +2,24 @@
 
 The aggregated correlation matrix is flattened row-major, passed through a
 fully connected layer with a sigmoid to give a bounded global feature, and
-classified by a linear softmax layer. The loss is the mean negative
-log-likelihood of the true class over a batch.
+classified by a linear layer whose logits a softmax turns into class
+probabilities. The loss, the negative log-likelihood of the true class, is
+computed from the logits (``model.sample_loss``).
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import sigmoid, stable_softmax
-
-# Probabilities are clamped here before the log; softmax/sigmoid outputs can
-# underflow when evaluated through 32-bit intermediates.
-LOG_CLAMP = 1e-12
+from .numeric import sigmoid
 
 
 @dataclass
 class ClassifierParams:
     """Global-feature layer (``feat_weights``/``feat_bias``) plus the softmax layer.
 
-    ``feat_weights`` is (F, K) where K is the flattened descriptor size,
-    ``cls_weights`` is (L, F) and doubles as the shared context matrix inside
-    the attention scores.
+    ``feat_weights`` is (F, K) where K is the flattened descriptor size and
+    ``cls_weights`` is (L, F).
     """
 
     feat_weights: np.ndarray
@@ -111,13 +106,13 @@ def global_feature(agg: np.ndarray, params: ClassifierParams) -> np.ndarray:
 
 
 def classify(feature: np.ndarray, params: ClassifierParams) -> np.ndarray:
-    """Class probabilities softmax(W @ feature + b), (L,) on the simplex."""
+    """Class logits W @ feature + b, (L,); their softmax is the class posterior."""
     feature = np.asarray(feature, dtype=np.float64)
     if feature.shape != (params.feature_dim,):
         raise ValueError(
             f"feature shape {feature.shape}, expected ({params.feature_dim},)"
         )
-    return stable_softmax(params.cls_weights @ feature + params.cls_bias)
+    return params.cls_weights @ feature + params.cls_bias
 
 
 def one_hot(label: int, num_classes: int) -> np.ndarray:
@@ -127,28 +122,6 @@ def one_hot(label: int, num_classes: int) -> np.ndarray:
     q = np.zeros(num_classes)
     q[label] = 1.0
     return q
-
-
-def nll_loss(probs: np.ndarray, truth: np.ndarray) -> float:
-    """Mean negative log-likelihood of the true classes.
-
-    ``probs`` and ``truth`` are (M, L) (or a single (L,) pair); each truth
-    row must be one-hot. True-class probabilities below ``LOG_CLAMP`` are
-    clamped with a RuntimeWarning rather than producing an infinite loss.
-    """
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    truth = np.atleast_2d(np.asarray(truth, dtype=np.float64))
-    if probs.shape != truth.shape:
-        raise ValueError(f"batch shapes differ: {probs.shape} vs {truth.shape}")
-    if probs.shape[0] == 0:
-        raise ValueError("empty batch")
-    p_true = np.sum(probs * truth, axis=1)
-    if np.any(p_true < LOG_CLAMP):
-        warnings.warn(
-            "true-class probability clamped before log", RuntimeWarning, stacklevel=2
-        )
-        p_true = np.maximum(p_true, LOG_CLAMP)
-    return float(-np.mean(np.log(p_true)))
 
 
 def classifier_backward(

@@ -88,9 +88,8 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     flags.add_argument("--no-attention", action="store_true",
                        help="replace attention with uniform weights")
     flags.add_argument("--no-attention-c", action="store_true",
-                       help="blind the attention scores to the node descriptors")
-    flags.add_argument("--no-attention-wf", action="store_true",
-                       help="blind the attention scores to the classifier weights")
+                       help="blind the attention scores to the node descriptors "
+                            "(every view then scores alike: uniform weights)")
     flags.add_argument("--no-latent", action="store_true",
                        help="skip the latent embedding, use raw features")
     flags.add_argument("--no-correlation", action="store_true",
@@ -99,8 +98,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                        help="mean-pool embeddings, bypassing the view graph")
     flags.add_argument("--max-pool", action="store_true",
                        help="max-pool embeddings, bypassing the view graph")
-    flags.add_argument("--drop-eq10-second-term", action="store_true",
-                       help="drop the attention-route gradient of the classifier weights")
 
 
 def _add_optim_args(parser: argparse.ArgumentParser) -> None:
@@ -129,12 +126,10 @@ def _config_from_args(args, num_classes: int, views: int, input_dim: int) -> Tra
         no_spatiality=args.no_spatiality,
         no_attention=args.no_attention,
         no_attention_c=args.no_attention_c,
-        no_attention_wf=args.no_attention_wf,
         no_latent=args.no_latent,
         no_correlation=args.no_correlation,
         mean_pool=args.mean_pool,
         max_pool=args.max_pool,
-        drop_eq10_second_term=args.drop_eq10_second_term,
         plateau_patience=args.plateau_patience,
     )
 
@@ -300,6 +295,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     config = _config_from_args(args, args.classes, args.views, args.input_dim)
     rng = np.random.default_rng(args.seed)
     from .geometry import build_view_graph, default_viewpoints

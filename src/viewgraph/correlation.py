@@ -11,8 +11,6 @@ matrix's entries sum to the node's total similarity mass.
 
 import numpy as np
 
-from .geometry import ViewGraph
-
 
 def pattern_correlation(d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
     """Outer product d_a d_b^T of two embeddings; (N, N), entries sum to 1."""
@@ -23,33 +21,6 @@ def pattern_correlation(d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
             f"embeddings must be equal-length vectors, got {d_a.shape} and {d_b.shape}"
         )
     return np.outer(d_a, d_b)
-
-
-def _check_embeddings(embeddings: np.ndarray, graph_views: int) -> np.ndarray:
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    if embeddings.ndim != 2:
-        raise ValueError(f"embeddings must be (V, N), got shape {embeddings.shape}")
-    if embeddings.shape[0] != graph_views:
-        raise ValueError(
-            f"{embeddings.shape[0]} embeddings for a graph of {graph_views} views"
-        )
-    return embeddings
-
-
-def cumulative_correlation(
-    node: int, embeddings: np.ndarray, graph: ViewGraph
-) -> np.ndarray:
-    """Similarity-weighted sum of the node's correlations with every view.
-
-    Returns sum_{j'} s[node, j'] * outer(d_node, d_j'), including the
-    self-pair at similarity 1. Equals outer(d_node, S[node] @ D), so the
-    result has rank 1 even though it is stored dense.
-    """
-    embeddings = _check_embeddings(embeddings, graph.num_views)
-    if not 0 <= node < graph.num_views:
-        raise ValueError(f"node {node} out of range [0, {graph.num_views})")
-    weighted = graph.similarity[node] @ embeddings
-    return np.outer(embeddings[node], weighted)
 
 
 def all_cumulative_correlations(

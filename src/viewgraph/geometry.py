@@ -126,40 +126,6 @@ def default_viewpoints(num_views: int) -> np.ndarray:
     return np.ascontiguousarray(points[order])
 
 
-def _check_unit(vec: np.ndarray, name: str) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (3,):
-        raise ValueError(f"{name} must be a 3-vector, got shape {vec.shape}")
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > DIRECTION_NORM_TOL:
-        raise ValueError(f"{name} is not unit norm (|v| = {norm:.9g})")
-    return vec / norm
-
-
-def edge_length(u: np.ndarray, w: np.ndarray) -> float:
-    """Normalized edge length 0.5 * (1 - cos(theta)) between two unit directions.
-
-    0 iff the directions coincide, 1 iff they are antipodal. Inputs must be
-    unit norm within ``DIRECTION_NORM_TOL``.
-    """
-    u = _check_unit(u, "u")
-    w = _check_unit(w, "w")
-    return float(np.clip(0.5 * (1.0 - np.dot(u, w)), 0.0, 1.0))
-
-
-def spatial_similarity(edge: float, sigma: float) -> float:
-    """Similarity exp(-sigma * edge) of an edge length in [0, 1].
-
-    Strictly decreasing in the edge length for sigma > 0 and exactly 1 at
-    edge 0. ``sigma = 0`` returns 1 for every edge.
-    """
-    if not 0.0 <= edge <= 1.0:
-        raise ValueError(f"edge length must lie in [0, 1], got {edge}")
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return float(math.exp(-sigma * edge))
-
-
 def build_view_graph(directions: np.ndarray, sigma: float) -> ViewGraph:
     """Build the fully connected view graph for a set of unit directions.
 

@@ -7,8 +7,8 @@ hand-derived backward pass and by inspection tools.
 
 Ablation flags substitute tensors rather than branching the math:
 ``no_spatiality`` feeds an all-ones similarity matrix, ``no_attention``
-fixes uniform weights, ``no_attention_c`` / ``no_attention_wf`` feed
-all-ones stand-ins for the corresponding score inputs, ``no_latent`` uses
+fixes uniform weights, as does ``no_attention_c`` (scores blind to the
+node descriptors give every view the same score), ``no_latent`` uses
 raw features as embeddings (the pattern count then equals the input
 dimension), ``no_correlation`` keeps the spatially weighted sums as
 per-node vectors instead of outer-product matrices, and ``mean_pool`` /
@@ -42,13 +42,11 @@ from .classifier import (
     classify,
     global_feature,
     init_classifier,
-    nll_loss,
-    one_hot,
 )
 from .correlation import all_correlation_backward, all_cumulative_correlations
 from .dataio import ShapeSample, write_atomic
 from .errors import DataIOError, FormatError
-from .numeric import softmax_grad
+from .numeric import softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
 
 CHECKPOINT_MAGIC = b"3DVG-M"
@@ -61,7 +59,9 @@ class TrainConfig:
 
     Defaults follow the reference operating point: learning rate 0.009,
     spatial decay sigma 10, 128 latent patterns, 256-dim global feature,
-    20 views.
+    20 views. ``drop_eq10_second_term`` is an exact no-op: the attention
+    route of the classifier-weight gradient (the second term of eq. 10) goes
+    through a score term shared by all views, which softmax cancels.
     """
 
     num_classes: int
@@ -77,7 +77,6 @@ class TrainConfig:
     no_spatiality: bool = False
     no_attention: bool = False
     no_attention_c: bool = False
-    no_attention_wf: bool = False
     no_latent: bool = False
     no_correlation: bool = False
     mean_pool: bool = False
@@ -225,6 +224,7 @@ class ForwardTrace:
     alpha: Optional[np.ndarray]
     agg: np.ndarray
     global_feature: np.ndarray
+    logits: np.ndarray
     probs: np.ndarray
     pool_argmax: Optional[np.ndarray] = None
 
@@ -287,22 +287,16 @@ def forward(sample: ShapeSample, params: ModelParams, config: TrainConfig) -> Fo
             node = weighted
         else:
             node, weighted = all_cumulative_correlations(embeddings, sim)
-        if config.no_attention:
+        if config.no_attention or config.no_attention_c:
             scores = None
             alpha = np.full(num_views, 1.0 / num_views)
         else:
-            attn_node = np.ones_like(node) if config.no_attention_c else node
-            attn_cls = (
-                np.ones_like(params.cls.cls_weights)
-                if config.no_attention_wf
-                else params.cls.cls_weights
-            )
-            scores = attention_scores(attn_node, attn_cls, params.attn)
+            scores = attention_scores(node, params.attn)
             alpha = normalize_attention(scores)
         agg = aggregate(node, alpha)
 
     feature = global_feature(agg, params.cls)
-    probs = classify(feature, params.cls)
+    logits = classify(feature, params.cls)
     return ForwardTrace(
         embeddings=embeddings,
         weighted_sums=weighted,
@@ -311,7 +305,8 @@ def forward(sample: ShapeSample, params: ModelParams, config: TrainConfig) -> Fo
         alpha=alpha,
         agg=agg,
         global_feature=feature,
-        probs=probs,
+        logits=logits,
+        probs=stable_softmax(logits),
         pool_argmax=pool_argmax,
     )
 
@@ -339,23 +334,23 @@ def backward(
 ) -> SimpleNamespace:
     """Gradients of this sample's -log P[label], one attribute per block.
 
-    Only the blocks the active flags compute are present; the ones they
-    leave out of the computation (``latent_*`` under ``no_latent``,
-    ``attn_*`` under ``no_attention`` and the pooled modes) are absent.
+    Only the blocks that can move the loss are present. Absent are
+    ``attn_ctx_vec`` and ``attn_bias`` always (the scores do not use them),
+    ``latent_*`` under ``no_latent``, every ``attn_*`` block under
+    ``no_attention``, ``no_attention_c`` and the pooled modes, and
+    ``attn_node_vec`` under ``no_correlation``.
 
-    The classifier weight matrix receives the classification-route gradient
-    plus, unless ``drop_eq10_second_term`` is set, the attention-route
-    gradient that flows through the score's shared context term.
+    The classifier weight matrix gets the classification-route gradient
+    only; see ``TrainConfig`` on ``drop_eq10_second_term``.
     """
     validate_params(params, config)
     _check_trace(trace, sample, config)
     feats = _check_sample(sample, config)
 
-    gfw, gfb, gcw_cls, gcb, grad_agg = classifier_backward(
+    gfw, gfb, gcw, gcb, grad_agg = classifier_backward(
         trace.agg, trace.global_feature, trace.probs, sample.label, params.cls
     )
-    grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_bias": gcb}
-    gcw_attn = None
+    grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_weights": gcw, "cls_bias": gcb}
 
     if config.pooled_mode:
         num_views, width = trace.embeddings.shape
@@ -367,24 +362,16 @@ def backward(
     else:
         sim = _similarity_for(sample, config)
         grad_node, grad_alpha = aggregate_backward(trace.node_corr, trace.alpha, grad_agg)
-        if not config.no_attention:
+        if not (config.no_attention or config.no_attention_c):
             grad_scores = softmax_grad(trace.alpha, grad_alpha)
-            attn_node = (
-                np.ones_like(trace.node_corr) if config.no_attention_c else trace.node_corr
+            g_proj, g_vec, g_out, g_nodes = scores_backward(
+                trace.node_corr, params.attn, grad_scores
             )
-            attn_cls = (
-                np.ones_like(params.cls.cls_weights)
-                if config.no_attention_wf
-                else params.cls.cls_weights
-            )
-            sg = scores_backward(attn_node, attn_cls, params.attn, grad_scores)
-            for name, group, attr, _ in BLOCKS:
-                if group == "attn":
-                    grads[name] = getattr(sg.params, attr)
-            if not config.no_attention_c:
-                grad_node = grad_node + sg.node_corr
-            if not config.no_attention_wf:
-                gcw_attn = sg.cls_weights
+            grads["attn_node_proj"] = g_proj
+            grads["attn_out"] = g_out
+            if g_vec is not None:
+                grads["attn_node_vec"] = g_vec
+            grad_node += g_nodes  # in place: one (V, N, N) temporary fewer
         if config.no_correlation:
             grad_embed = sim.T @ grad_node
         else:
@@ -396,17 +383,20 @@ def backward(
         _, gfilters, goffsets = embed_backward(feats, params.latent, grad_embed)
         grads["latent_filters"] = gfilters
         grads["latent_offsets"] = goffsets
-
-    grads["cls_weights"] = gcw_cls
-    if gcw_attn is not None and not config.drop_eq10_second_term:
-        grads["cls_weights"] = gcw_cls + gcw_attn
     return SimpleNamespace(**grads)
 
 
 def sample_loss(trace: ForwardTrace, sample: ShapeSample) -> float:
-    """Negative log-likelihood of one shape's true class."""
-    q = one_hot(sample.label, trace.probs.shape[0])
-    return nll_loss(trace.probs, q)
+    """Negative log-likelihood of one shape's true class, from the logits.
+
+    ``logsumexp(z) - z[label]`` is exact where the true class's probability
+    underflows, so a saturated prediction reports its real loss.
+    """
+    z = trace.logits
+    if not 0 <= sample.label < z.shape[0]:
+        raise ValueError(f"label {sample.label} out of range [0, {z.shape[0]})")
+    top = z.max()
+    return float(top - z[sample.label] + np.log(np.exp(z - top).sum()))
 
 
 def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.ndarray:
@@ -428,7 +418,7 @@ _CONFIG_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 # Fields that older checkpoints carry but TrainConfig no longer has. They are
 # type-checked like the others and then dropped, so those checkpoints load.
-_RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float}
+_RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float, "no_attention_wf": bool}
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:

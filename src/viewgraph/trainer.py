@@ -159,10 +159,11 @@ def train(
 
 # Denominator floor for the per-block relative error. Central differences at
 # h = 1e-5 on an O(1) loss carry ~1e-11 of roundoff noise; blocks whose true
-# gradient is exactly zero (the score terms shared across views) would divide
-# that noise by itself. The floor maps such noise to ~1e-7 while an actual
-# gradient bug, which shows up at absolute size >= 1e-9, still exceeds any
-# reasonable tolerance.
+# gradient is exactly zero (the ones ``backward`` leaves out, such as
+# ``attn_ctx_vec`` and ``attn_bias``, which the scores do not use) would
+# divide that noise by itself. The floor maps such noise to ~1e-7 while an
+# actual gradient bug, which shows up at absolute size >= 1e-9, still
+# exceeds any reasonable tolerance.
 GRAD_CHECK_FLOOR = 1e-4
 
 
@@ -178,14 +179,14 @@ def grad_check(
     Returns {block name: relative error}, where the relative error is the
     block's max absolute analytic/numeric difference over the larger of the
     block's max absolute numeric gradient and a small floor (so blocks with
-    genuinely zero gradient compare cleanly). A block the active flags leave
-    out of the computation has no analytic gradient and counts as zero.
+    genuinely zero gradient compare cleanly). A block ``backward`` leaves
+    out has no analytic gradient and counts as zero.
     ``grad_hook`` can mutate the
     analytic gradients before comparison; tests use it to confirm the check
     actually fails on wrong gradients.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
     work = params.copy()
     trace = forward(sample, work, config)
     analytic = backward(trace, sample, work, config)

@@ -6,10 +6,9 @@ import pytest
 from oracles import central_difference
 from viewgraph.attention import (
     AttentionParams,
+    _node_term,
     aggregate,
     aggregate_backward,
-    attention_backward,
-    attention_projections,
     attention_scores,
     init_attention,
     normalize_attention,
@@ -34,14 +33,9 @@ class TestScores:
         views, width, classes, feat = 5, 4, 3, 6
         params = random_attention(rng, classes, width, feat)
         node_corr = rng.standard_normal((views, width, width))
-        cls_w = rng.standard_normal((classes, feat))
-        scores = attention_scores(node_corr, cls_w, params)
+        scores = attention_scores(node_corr, params)
         for j in range(views):
-            proj = (
-                params.node_proj @ (node_corr[j] @ params.node_vec)
-                + cls_w @ params.ctx_vec
-                + params.bias
-            )
+            proj = params.node_proj @ (node_corr[j] @ params.node_vec)
             assert scores[j] == pytest.approx(float(params.out @ proj), rel=1e-12)
 
     def test_vector_node_input(self):
@@ -49,20 +43,22 @@ class TestScores:
         rng = np.random.default_rng(1)
         params = random_attention(rng, 3, 4, 6)
         nodes = rng.standard_normal((5, 4))
-        cls_w = rng.standard_normal((3, 6))
-        scores = attention_scores(nodes, cls_w, params)
+        scores = attention_scores(nodes, params)
         for j in range(5):
-            proj = params.node_proj @ nodes[j] + cls_w @ params.ctx_vec + params.bias
+            proj = params.node_proj @ nodes[j]
             assert scores[j] == pytest.approx(float(params.out @ proj), rel=1e-12)
 
     def test_shared_context_term_cannot_move_the_softmax(self):
-        """The context projection and bias shift every score by the same
-        amount, so the normalized weights ignore them entirely."""
+        """A term shared by every node shifts all scores alike, which the
+        softmax ignores, so the scores leave out ctx_vec and bias."""
         rng = np.random.default_rng(2)
         params = random_attention(rng, 3, 4, 6)
         node_corr = rng.standard_normal((5, 4, 4))
+        scores = attention_scores(node_corr, params)
+        alpha = normalize_attention(scores)
         cls_w = rng.standard_normal((3, 6))
-        alpha = normalize_attention(attention_scores(node_corr, cls_w, params))
+        shift = float((cls_w @ params.ctx_vec + params.bias) @ params.out)
+        np.testing.assert_allclose(normalize_attention(scores + shift), alpha, atol=1e-12)
         shifted = AttentionParams(
             node_proj=params.node_proj,
             node_vec=params.node_vec,
@@ -70,16 +66,15 @@ class TestScores:
             bias=params.bias - 1.2,
             out=params.out,
         )
-        alpha2 = normalize_attention(attention_scores(node_corr, cls_w, shifted))
-        np.testing.assert_allclose(alpha2, alpha, atol=1e-12)
+        np.testing.assert_array_equal(attention_scores(node_corr, shifted), scores)
 
     def test_projections_shape(self):
         rng = np.random.default_rng(3)
         params = random_attention(rng, 2, 3, 4)
-        proj = attention_projections(
-            rng.standard_normal((6, 3, 3)), rng.standard_normal((2, 4)), params
-        )
+        node_corr = rng.standard_normal((6, 3, 3))
+        proj = _node_term(node_corr, params)
         assert proj.shape == (6, 2)
+        np.testing.assert_array_equal(attention_scores(node_corr, params), proj @ params.out)
 
 
 class TestNormalize:
@@ -132,10 +127,18 @@ class TestAggregate:
         )
 
 
+def attention_chain_backward(node_corr, params, grad_agg):
+    """Backward of scores -> softmax -> aggregation, composed as model.backward does."""
+    alpha = normalize_attention(attention_scores(node_corr, params))
+    grad_nodes_agg, grad_alpha = aggregate_backward(node_corr, alpha, grad_agg)
+    grad_scores = softmax_grad(alpha, grad_alpha)
+    g_proj, g_vec, g_out, g_nodes = scores_backward(node_corr, params, grad_scores)
+    return g_proj, g_vec, g_out, g_nodes + grad_nodes_agg
+
+
 class TestBackward:
-    def _scalar_through_attention(self, node_corr, cls_w, params, probe):
-        scores = attention_scores(node_corr, cls_w, params)
-        alpha = normalize_attention(scores)
+    def _scalar_through_attention(self, node_corr, params, probe):
+        alpha = normalize_attention(attention_scores(node_corr, params))
         return float((aggregate(node_corr, alpha) * probe).sum())
 
     def test_full_chain_matches_finite_differences(self):
@@ -143,82 +146,60 @@ class TestBackward:
         views, width, classes, feat = 4, 3, 3, 5
         params = random_attention(rng, classes, width, feat)
         node_corr = rng.standard_normal((views, width, width))
-        cls_w = rng.standard_normal((classes, feat))
         probe = rng.standard_normal((width, width))
 
-        grads = attention_backward(node_corr, cls_w, params, probe)
+        g_proj, g_vec, g_out, g_nodes = attention_chain_backward(node_corr, params, probe)
 
         def scalar():
-            return self._scalar_through_attention(node_corr, cls_w, params, probe)
+            return self._scalar_through_attention(node_corr, params, probe)
 
+        np.testing.assert_allclose(g_nodes, central_difference(scalar, node_corr), atol=1e-7)
         np.testing.assert_allclose(
-            grads.node_corr, central_difference(scalar, node_corr), atol=1e-7
+            g_proj, central_difference(scalar, params.node_proj), atol=1e-7
         )
         np.testing.assert_allclose(
-            grads.params.node_proj,
-            central_difference(scalar, params.node_proj),
-            atol=1e-7,
+            g_vec, central_difference(scalar, params.node_vec), atol=1e-7
         )
-        np.testing.assert_allclose(
-            grads.params.node_vec,
-            central_difference(scalar, params.node_vec),
-            atol=1e-7,
-        )
-        np.testing.assert_allclose(
-            grads.params.out, central_difference(scalar, params.out), atol=1e-7
-        )
-        # classifier-weight route through the scores
-        np.testing.assert_allclose(
-            grads.cls_weights, central_difference(scalar, cls_w), atol=1e-7
-        )
-        # shared-term parameters: exactly cancelled by the softmax
-        np.testing.assert_allclose(grads.params.ctx_vec, 0.0, atol=1e-12)
-        np.testing.assert_allclose(grads.params.bias, 0.0, atol=1e-12)
+        np.testing.assert_allclose(g_out, central_difference(scalar, params.out), atol=1e-7)
+        # shared-term parameters take no part in the scores at all
+        np.testing.assert_array_equal(central_difference(scalar, params.ctx_vec), 0.0)
+        np.testing.assert_array_equal(central_difference(scalar, params.bias), 0.0)
 
     def test_scores_backward_composes_with_softmax_grad(self):
         rng = np.random.default_rng(9)
         params = random_attention(rng, 2, 3, 4)
         node_corr = rng.standard_normal((5, 3, 3))
-        cls_w = rng.standard_normal((2, 4))
         probe = rng.standard_normal(5)
 
         def scalar():
-            alpha = normalize_attention(attention_scores(node_corr, cls_w, params))
+            alpha = normalize_attention(attention_scores(node_corr, params))
             return float(np.dot(alpha, probe))
 
-        alpha = normalize_attention(attention_scores(node_corr, cls_w, params))
+        alpha = normalize_attention(attention_scores(node_corr, params))
         grad_scores = softmax_grad(alpha, probe)
-        sg = scores_backward(node_corr, cls_w, params, grad_scores)
+        _, g_vec, _, g_nodes = scores_backward(node_corr, params, grad_scores)
+        np.testing.assert_allclose(g_nodes, central_difference(scalar, node_corr), atol=1e-7)
         np.testing.assert_allclose(
-            sg.node_corr, central_difference(scalar, node_corr), atol=1e-7
-        )
-        np.testing.assert_allclose(
-            sg.params.node_vec,
-            central_difference(scalar, params.node_vec),
-            atol=1e-7,
+            g_vec, central_difference(scalar, params.node_vec), atol=1e-7
         )
 
     def test_vector_mode_backward(self):
         rng = np.random.default_rng(10)
         params = random_attention(rng, 3, 4, 5)
         nodes = rng.standard_normal((6, 4))
-        cls_w = rng.standard_normal((3, 5))
         probe = rng.standard_normal(4)
 
-        grads = attention_backward(nodes, cls_w, params, probe)
+        g_proj, g_vec, _, g_nodes = attention_chain_backward(nodes, params, probe)
 
         def scalar():
-            alpha = normalize_attention(attention_scores(nodes, cls_w, params))
-            return float((aggregate(nodes, alpha) * probe).sum())
+            return self._scalar_through_attention(nodes, params, probe)
 
+        np.testing.assert_allclose(g_nodes, central_difference(scalar, nodes), atol=1e-7)
         np.testing.assert_allclose(
-            grads.node_corr, central_difference(scalar, nodes), atol=1e-7
+            g_proj, central_difference(scalar, params.node_proj), atol=1e-7
         )
-        np.testing.assert_allclose(
-            grads.params.node_proj,
-            central_difference(scalar, params.node_proj),
-            atol=1e-7,
-        )
+        # vector nodes skip the node_vec contraction, so it has no gradient
+        assert g_vec is None
 
 
 class TestInit:

@@ -1,5 +1,7 @@
 """Global-feature layer, softmax classifier head, and the training loss."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,16 @@ from viewgraph.classifier import (
     classify,
     global_feature,
     init_classifier,
-    nll_loss,
     one_hot,
 )
+from viewgraph.model import sample_loss
+from viewgraph.numeric import stable_softmax
+
+
+def loss_of(logits, label):
+    """The training loss of one shape with these logits and this label."""
+    trace = SimpleNamespace(logits=np.asarray(logits, dtype=np.float64))
+    return sample_loss(trace, SimpleNamespace(label=label))
 
 
 def random_classifier(rng, classes, feat, inp):
@@ -56,7 +65,7 @@ class TestClassify:
         rng = np.random.default_rng(3)
         for _ in range(50):
             params = random_classifier(rng, int(rng.integers(2, 7)), 4, 3)
-            probs = classify(rng.uniform(0.0, 1.0, size=4), params)
+            probs = stable_softmax(classify(rng.uniform(0.0, 1.0, size=4), params))
             assert probs.min() > 0.0
             assert abs(probs.sum() - 1.0) < 1e-9
 
@@ -68,31 +77,30 @@ class TestClassify:
             cls_weights=np.zeros((2, 1)),
             cls_bias=np.array([0.0, np.log(3.0)]),
         )
-        probs = classify(np.array([0.5]), params)
-        np.testing.assert_allclose(probs, [0.25, 0.75], atol=1e-15)
+        logits = classify(np.array([0.5]), params)
+        np.testing.assert_array_equal(logits, [0.0, np.log(3.0)])
+        np.testing.assert_allclose(stable_softmax(logits), [0.25, 0.75], atol=1e-15)
 
 
 class TestLoss:
     def test_uniform_prediction_costs_log_classes(self):
-        probs = np.full((4, 10), 0.1)
-        truth = np.eye(10)[[0, 3, 7, 9]]
-        assert nll_loss(probs, truth) == pytest.approx(2.302585092994046, rel=1e-12)
+        for label in (0, 3, 7, 9):
+            assert loss_of(np.full(10, 0.4), label) == pytest.approx(
+                2.302585092994046, rel=1e-12
+            )
 
     def test_confident_correct_prediction_is_cheap(self):
-        probs = np.array([[0.999, 0.0005, 0.0005]])
-        truth = one_hot(0, 3)[None, :]
-        assert nll_loss(probs, truth) < 0.002
+        assert loss_of(np.log([0.999, 0.0005, 0.0005]), 0) < 0.002
 
-    def test_zero_probability_is_clamped_with_warning(self):
-        probs = np.array([[1.0, 0.0]])
-        truth = np.array([[0.0, 1.0]])
-        with pytest.warns(RuntimeWarning):
-            loss = nll_loss(probs, truth)
-        assert np.isfinite(loss)
+    def test_saturated_logits_give_the_exact_loss(self):
+        # the true class's probability underflows; a clamp at 1e-12 gave 27.6
+        assert loss_of([0.0, -800.0], 1) == 800.0
+        assert loss_of([0.0, -800.0], 0) == 0.0
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            nll_loss(np.zeros((0, 3)), np.zeros((0, 3)))
+    def test_label_out_of_range_rejected(self):
+        for label in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                loss_of([0.0, 1.0], label)
 
     def test_one_hot(self):
         np.testing.assert_array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
@@ -113,11 +121,10 @@ class TestBackward:
 
             def loss():
                 f = global_feature(agg, params)
-                p = classify(f, params)
-                return nll_loss(p[None, :], one_hot(label, classes)[None, :])
+                return loss_of(classify(f, params), label)
 
             feature = global_feature(agg, params)
-            probs = classify(feature, params)
+            probs = stable_softmax(classify(feature, params))
             gfw, gfb, gcw, gcb, gagg = classifier_backward(
                 agg, feature, probs, label, params
             )
@@ -142,7 +149,7 @@ class TestBackward:
         params = random_classifier(rng, 3, 4, 2)
         agg = rng.standard_normal(2)
         feature = global_feature(agg, params)
-        probs = classify(feature, params)
+        probs = stable_softmax(classify(feature, params))
         _, _, _, gcb, _ = classifier_backward(agg, feature, probs, 1, params)
         np.testing.assert_allclose(gcb, probs - one_hot(1, 3), atol=1e-15)
 

@@ -132,6 +132,15 @@ class TestTrainCommand:
             train_model(data, tmp_path / "m.3dvgm", "--threads", "2")
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flag", ["--no-attention-wf", "--drop-eq10-second-term"])
+    def test_no_op_flags_are_gone(self, tmp_path, flag):
+        # both only touched a score term shared by all views, which softmax
+        # cancels, so they could change nothing
+        data = make_dataset(tmp_path / "d.3dvgd")
+        with pytest.raises(SystemExit) as excinfo:
+            train_model(data, tmp_path / "m.3dvgm", flag)
+        assert excinfo.value.code == 2
+
     @pytest.mark.parametrize("flag", ["--sigma", "--learning-rate"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_float_fails_before_training(self, tmp_path, capsys, flag, value):
@@ -289,6 +298,14 @@ class TestGradcheckCommand:
     def test_fails_at_unreachable_tolerance(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--tol", "1e-18"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_rejected_before_the_check(self, capsys, tol):
+        assert main(["gradcheck", "--seed", "0", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: --tol must be finite and > 0, got {float(tol)}"]
 
 
 class TestAttentionDumpCommand:

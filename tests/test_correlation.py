@@ -7,7 +7,6 @@ from oracles import central_difference, naive_cumulative_correlation
 from viewgraph.correlation import (
     all_correlation_backward,
     all_cumulative_correlations,
-    cumulative_correlation,
     pattern_correlation,
 )
 from viewgraph.geometry import build_view_graph, default_viewpoints
@@ -64,7 +63,7 @@ class TestCumulativeCorrelation:
             emb = random_simplex(rng, views, width)
             for node in range(views):
                 want = naive_cumulative_correlation(emb, graph.similarity, node)
-                got = cumulative_correlation(node, emb, graph)
+                got = all_cumulative_correlations(emb, graph.similarity)[0][node]
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_total_mass_equals_similarity_row_sum(self):
@@ -73,9 +72,9 @@ class TestCumulativeCorrelation:
             views = int(rng.integers(2, 8))
             graph = random_graph(rng, views)
             emb = random_simplex(rng, views, 5)
+            cums, _ = all_cumulative_correlations(emb, graph.similarity)
             for node in range(views):
-                cum = cumulative_correlation(node, emb, graph)
-                assert abs(cum.sum() - graph.similarity[node].sum()) < 1e-8
+                assert abs(cums[node].sum() - graph.similarity[node].sum()) < 1e-8
 
     def test_all_nodes_vectorized_matches_per_node(self):
         rng = np.random.default_rng(4)
@@ -86,15 +85,17 @@ class TestCumulativeCorrelation:
         np.testing.assert_allclose(weighted, graph.similarity @ emb, atol=1e-15)
         for node in range(6):
             np.testing.assert_allclose(
-                cums[node], cumulative_correlation(node, emb, graph), atol=1e-12
+                cums[node],
+                np.outer(emb[node], graph.similarity[node] @ emb),
+                atol=1e-12,
             )
 
     def test_single_view_graph(self):
         # one view: the only partner is the node itself at similarity 1
         graph = build_view_graph(np.array([[0.0, 0.0, 1.0]]), 7.0)
         emb = np.array([[0.3, 0.7]])
-        cum = cumulative_correlation(0, emb, graph)
-        np.testing.assert_allclose(cum, np.outer(emb[0], emb[0]), atol=1e-15)
+        cums, _ = all_cumulative_correlations(emb, graph.similarity)
+        np.testing.assert_allclose(cums[0], np.outer(emb[0], emb[0]), atol=1e-15)
 
 
 class TestCorrelationBackward:

@@ -7,9 +7,7 @@ from viewgraph.geometry import (
     ViewGraph,
     build_view_graph,
     default_viewpoints,
-    edge_length,
     fibonacci_sphere,
-    spatial_similarity,
 )
 
 
@@ -62,64 +60,90 @@ class TestDefaultViewpoints:
         assert np.linalg.norm(pts.mean(axis=0)) < 0.1
 
 
+def edge_from_graph(u, w):
+    """Normalized edge length between two directions, read back from the
+    graph's similarity at sigma 1, where the similarity is exp(-edge)."""
+    return float(-np.log(build_view_graph(np.stack([u, w]), 1.0).similarity[0, 1]))
+
+
+def direction_at_edge(edge):
+    """Unit direction whose edge length to +z is ``edge``."""
+    t = np.arccos(1.0 - 2.0 * edge)
+    return np.array([np.sin(t), 0.0, np.cos(t)])
+
+
 class TestEdgeLength:
     def test_identical_direction_is_zero(self):
         u = np.array([0.0, 0.0, 1.0])
-        assert edge_length(u, u) == 0.0
+        assert edge_from_graph(u, u) == 0.0
 
     def test_antipodal_is_one(self):
         u = np.array([0.0, 0.0, 1.0])
-        assert edge_length(u, -u) == pytest.approx(1.0, abs=1e-15)
+        assert edge_from_graph(u, -u) == pytest.approx(1.0, abs=1e-15)
 
     def test_orthogonal_is_half(self):
         u = np.array([1.0, 0.0, 0.0])
         w = np.array([0.0, 1.0, 0.0])
-        assert edge_length(u, w) == pytest.approx(0.5, abs=1e-15)
+        assert edge_from_graph(u, w) == pytest.approx(0.5, abs=1e-15)
 
     def test_monotone_in_angle(self):
         rng = np.random.default_rng(7)
         u = np.array([0.0, 0.0, 1.0])
         angles = np.sort(rng.uniform(0.0, np.pi, size=25))
-        lengths = [
-            edge_length(u, np.array([np.sin(t), 0.0, np.cos(t)])) for t in angles
-        ]
+        dirs = np.array([[np.sin(t), 0.0, np.cos(t)] for t in angles])
+        sim = build_view_graph(np.vstack([u, dirs]), 1.0).similarity[0, 1:]
+        lengths = -np.log(sim)
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
         assert all(0.0 <= v <= 1.0 for v in lengths)
 
     def test_rejects_non_unit_input(self):
         with pytest.raises(ValueError):
-            edge_length(np.array([2.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+            build_view_graph(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1.0)
 
 
 class TestSpatialSimilarity:
     def test_zero_edge_gives_one(self):
-        assert spatial_similarity(0.0, 10.0) == 1.0
+        u = np.array([0.0, 0.0, 1.0])
+        assert build_view_graph(np.stack([u, u]), 10.0).similarity[0, 1] == 1.0
 
     def test_zero_sigma_gives_one(self):
-        assert spatial_similarity(0.77, 0.0) == 1.0
+        dirs = np.stack([np.array([0.0, 0.0, 1.0]), direction_at_edge(0.77)])
+        assert build_view_graph(dirs, 0.0).similarity[0, 1] == 1.0
 
     def test_frozen_values(self):
-        assert spatial_similarity(1.0, 10.0) == pytest.approx(
-            4.5399929762484854e-05, rel=1e-12
+        u = np.array([0.0, 0.0, 1.0])
+        # antipodal: edge 1
+        assert build_view_graph(np.stack([u, -u]), 10.0).similarity[0, 1] == (
+            pytest.approx(4.5399929762484854e-05, rel=1e-12)
         )
-        assert spatial_similarity(0.5, 5.0) == pytest.approx(
-            0.0820849986238988, rel=1e-12
+        # orthogonal: edge 0.5
+        w = np.array([1.0, 0.0, 0.0])
+        assert build_view_graph(np.stack([u, w]), 5.0).similarity[0, 1] == (
+            pytest.approx(0.0820849986238988, rel=1e-12)
         )
 
     def test_decreasing_in_both_arguments(self):
         rng = np.random.default_rng(3)
+        u = np.array([0.0, 0.0, 1.0])
         for _ in range(50):
             e1, e2 = np.sort(rng.uniform(0.0, 1.0, size=2))
-            sigma = rng.uniform(0.0, 20.0)
-            assert spatial_similarity(e2, sigma) <= spatial_similarity(e1, sigma)
+            s1, s2 = np.sort(rng.uniform(0.0, 20.0, size=2))
+            dirs = np.stack([u, direction_at_edge(e1), direction_at_edge(e2)])
+            low, high = (build_view_graph(dirs, s).similarity for s in (s1, s2))
+            assert low[0, 2] <= low[0, 1]
+            assert high[0, 1] <= low[0, 1] and high[0, 2] <= low[0, 2]
 
     def test_rejects_bad_arguments(self):
+        rng = np.random.default_rng(4)
+        raw = rng.standard_normal((6, 3))
+        dirs = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        # every edge length stays in [0, 1], so similarities in [e^-sigma, 1]
+        sim = build_view_graph(dirs, 3.0).similarity
+        assert sim.min() >= np.exp(-3.0) and sim.max() <= 1.0
         with pytest.raises(ValueError):
-            spatial_similarity(1.2, 1.0)
+            build_view_graph(dirs, -1.0)
         with pytest.raises(ValueError):
-            spatial_similarity(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            spatial_similarity(0.5, -1.0)
+            build_view_graph(dirs * 1.2, 1.0)
 
 
 class TestBuildViewGraph:

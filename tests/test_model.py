@@ -26,7 +26,6 @@ ALL_FLAGS = (
     "no_spatiality",
     "no_attention",
     "no_attention_c",
-    "no_attention_wf",
     "no_latent",
     "no_correlation",
     "mean_pool",
@@ -115,6 +114,42 @@ class TestForward:
         np.testing.assert_array_equal(trace.alpha, np.full(4, 0.25))
         assert trace.scores is None
 
+    def test_no_attention_c_gives_uniform_weights(self):
+        # scores blind to the node descriptors are equal for every view
+        cfg, sample, params = make_instance(views=6, no_attention_c=True)
+        trace = forward(sample, params, cfg)
+        np.testing.assert_array_equal(trace.alpha, np.full(6, 1.0 / 6.0))
+        uniform = TrainConfig(**{**vars(cfg), "no_attention_c": False, "no_attention": True})
+        np.testing.assert_array_equal(trace.probs, forward(sample, params, uniform).probs)
+
+    def test_probs_are_the_softmax_of_the_logits(self):
+        cfg, sample, params = make_instance()
+        trace = forward(sample, params, cfg)
+        shifted = np.exp(trace.logits - trace.logits.max())
+        np.testing.assert_array_equal(trace.probs, shifted / shifted.sum())
+        want = -np.log(trace.probs[sample.label])
+        assert sample_loss(trace, sample) == pytest.approx(want, rel=1e-12)
+
+    def test_context_blind_scores_still_classify_identically(self, tmp_path):
+        # the classifier-weight context entered all scores equally, so the
+        # scores no longer see it: a checkpoint written with the retired
+        # ``no_attention_wf`` set classifies exactly like the full model, and
+        # new classifier weights leave the attention weights as they were
+        cfg, sample, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), "no_attention_wf": True})
+        blind_params, blind_cfg = load_checkpoint(path)
+        full = forward(sample, params, cfg)
+        blind = forward(sample, blind_params, blind_cfg)
+        np.testing.assert_array_equal(blind.alpha, full.alpha)
+        np.testing.assert_array_equal(blind.probs, full.probs)
+        cls_weights = blind_params.block("cls_weights")
+        cls_weights[...] = np.random.default_rng(5).standard_normal(cls_weights.shape)
+        np.testing.assert_array_equal(
+            forward(sample, blind_params, cfg).alpha, full.alpha
+        )
+
     def test_mean_pool_pools_embeddings(self):
         cfg, sample, params = make_instance(mean_pool=True)
         trace = forward(sample, params, cfg)
@@ -159,16 +194,6 @@ class TestForward:
         for name, arr in vars(g0).items():
             np.testing.assert_array_equal(arr, getattr(gn, name))
 
-    def test_context_blind_scores_still_classify_identically(self):
-        # the classifier-weight context enters all scores equally, so hiding
-        # it from the attention cannot change any output
-        cfg, sample, params = make_instance()
-        cfg_wf = TrainConfig(**{**vars(cfg), "no_attention_wf": True})
-        full = forward(sample, params, cfg)
-        blind = forward(sample, params, cfg_wf)
-        np.testing.assert_allclose(blind.alpha, full.alpha, atol=1e-12)
-        np.testing.assert_allclose(blind.probs, full.probs, atol=1e-12)
-
     def test_permutation_invariance(self):
         cfg, sample, params = make_instance(views=6)
         rng = np.random.default_rng(9)
@@ -205,27 +230,26 @@ class TestForward:
 
 
 class TestBackwardRoutes:
-    def test_dropping_second_route_changes_only_cls_weights(self):
+    def test_dropping_second_route_changes_nothing(self):
+        # the attention route ran through a score term shared by all views,
+        # which softmax cancels, so there is no second route to drop
         cfg, sample, params = make_instance()
         cfg_drop = TrainConfig(**{**vars(cfg), "drop_eq10_second_term": True})
         trace = forward(sample, params, cfg)
         g_full = backward(trace, sample, params, cfg)
         g_drop = backward(trace, sample, params, cfg_drop)
+        assert vars(g_full).keys() == vars(g_drop).keys()
         for name, arr in vars(g_full).items():
-            if name == "cls_weights":
-                continue
             np.testing.assert_array_equal(arr, getattr(g_drop, name))
-        # the attention-route term exists but sums to ~0 (softmax cancels the
-        # shared context), so the two versions differ only at rounding level
-        diff = np.abs(g_full.cls_weights - g_drop.cls_weights).max()
-        assert diff < 1e-12
 
     def test_gradient_zero_for_shared_context_blocks(self):
+        # absent: the scores do not use them, and train and grad_check read
+        # an absent block as a zero gradient
         cfg, sample, params = make_instance()
         trace = forward(sample, params, cfg)
         grads = backward(trace, sample, params, cfg)
-        np.testing.assert_allclose(grads.attn_ctx_vec, 0.0, atol=1e-12)
-        np.testing.assert_allclose(grads.attn_bias, 0.0, atol=1e-12)
+        assert not hasattr(grads, "attn_ctx_vec")
+        assert not hasattr(grads, "attn_bias")
 
 
 class TestBackwardBlocks:
@@ -234,9 +258,11 @@ class TestBackwardBlocks:
         # Unused blocks are absent, which train and grad_check read as zero.
         cfg, sample, params = make_instance(**({flag: True} if flag else {}))
         grads = backward(forward(sample, params, cfg), sample, params, cfg)
-        unused = set()
-        if cfg.pooled_mode or cfg.no_attention:
+        unused = {"attn_ctx_vec", "attn_bias"}
+        if cfg.pooled_mode or cfg.no_attention or cfg.no_attention_c:
             unused |= {n for n in BLOCK_NAMES if n.startswith("attn_")}
+        if cfg.no_correlation:
+            unused.add("attn_node_vec")
         if cfg.no_latent:
             unused |= {"latent_filters", "latent_offsets"}
         assert set(vars(grads)) == set(BLOCK_NAMES) - unused
@@ -335,7 +361,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "field,value",
         [("n_patterns", 4.0), ("threads", 2.0), ("no_latent", "no"),
-         ("batch_size", True), ("sigma", False)],
+         ("batch_size", True), ("sigma", False), ("no_attention_wf", 1)],
     )
     def test_config_value_type_tampering(self, tmp_path, field, value):
         cfg, _, params = make_instance()
@@ -350,18 +376,21 @@ class TestCheckpoint:
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
         blob = read_config(path)
-        assert "threads" not in blob and "plateau_rel_tol" not in blob
+        assert not {"threads", "plateau_rel_tol", "no_attention_wf"} & set(blob)
 
     def test_retired_fields_still_load(self, tmp_path):
-        # the layout written before ``threads`` and ``plateau_rel_tol`` left
+        # the layout written before ``threads``, ``plateau_rel_tol`` and
+        # ``no_attention_wf`` left; the last hid the classifier weights from
+        # a score term shared by all views, which could change nothing
         cfg, _, params = make_instance()
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
-        write_config(path, {**read_config(path), "threads": 1, "plateau_rel_tol": 1e-05})
+        retired = {"threads": 1, "plateau_rel_tol": 1e-05, "no_attention_wf": True}
+        write_config(path, {**read_config(path), **retired})
         loaded_params, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        assert not hasattr(loaded_cfg, "threads")
-        assert not hasattr(loaded_cfg, "plateau_rel_tol")
+        for name in retired:
+            assert not hasattr(loaded_cfg, name)
         for name, arr in params.blocks():
             np.testing.assert_array_equal(arr, loaded_params.block(name))
 

@@ -153,7 +153,9 @@ class TestGradCheck:
         sample, params, cfg = self._instance()
 
         def corrupt(grads):
-            getattr(grads, name)[...] += 1.0
+            # attn_ctx_vec and attn_bias are absent: give them a wrong gradient
+            wrong = getattr(grads, name, 0.0) + np.ones(params.block(name).shape)
+            setattr(grads, name, wrong)
 
         report = grad_check(sample, params, cfg, grad_hook=corrupt)
         assert report[name] > 1e-2
@@ -167,5 +169,6 @@ class TestGradCheck:
 
     def test_rejects_bad_step(self):
         sample, params, cfg = self._instance()
-        with pytest.raises(ValueError):
-            grad_check(sample, params, cfg, h=0.0)
+        for h in (0.0, -1e-5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="step h must be finite and > 0"):
+                grad_check(sample, params, cfg, h=h)
