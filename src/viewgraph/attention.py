@@ -1,18 +1,19 @@
-"""Attention over view nodes and attention-weighted aggregation.
+"""Attention over view nodes and attention-weighted aggregation, batched.
 
-Each node's cumulative correlation is projected into class space
-(``node_proj @ C_j @ node_vec``) and reduced to a scalar score by the
-``out`` vector. Scores are softmax-normalized into weights that convexly
-combine the per-node matrices into one shape descriptor. Because both the
-weights and the matrices permute together under any reordering of the
-views, the aggregate is invariant to view relabeling.
+Node j's descriptor is its cumulative correlation ``C_j = outer(d_j, w_j)``
+(embedding times similarity-weighted embedding sum), or the vector ``w_j``
+in the correlation-free ablation. It is projected into class space
+(``node_proj @ C_j @ node_vec``) and reduced to a scalar score by ``out``;
+softmax turns the scores into weights that convexly combine the node
+descriptors into one shape descriptor, invariant to view relabeling. Every
+function takes the factors ``E`` and ``W`` (..., V, N), with any leading
+batch axes, so no (V, N, N) node tensor is built.
 
-The score has no term shared across nodes. A shared term, such as the
+The score has no term shared across nodes: a shared term, such as the
 classifier weights' context ``(cls_weights @ ctx_vec + bias) @ out``,
-shifts every score by the same amount, and softmax ignores a shared
-shift: it could change neither the weights nor any gradient, so it is not
-computed. ``ctx_vec`` and ``bias`` stay in :class:`AttentionParams` (and in
-the checkpoint layout) but take no part in the scores.
+shifts every score alike, which softmax ignores, so it could change neither
+the weights nor any gradient and is not computed. ``ctx_vec`` and ``bias``
+stay in :class:`AttentionParams` (and the checkpoint layout) unused.
 """
 
 from dataclasses import dataclass
@@ -80,82 +81,74 @@ def init_attention(
     )
 
 
-def _node_term(node_corr: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Per-node class-space term: (V, L). Accepts (V, N, N) matrices or (V, N) vectors."""
-    node_corr = np.asarray(node_corr, dtype=np.float64)
-    num_patterns = params.node_proj.shape[1]
-    if node_corr.ndim == 3:
-        if node_corr.shape[1:] != (num_patterns, num_patterns):
-            raise ValueError(
-                f"node matrices must be (V, {num_patterns}, {num_patterns}), "
-                f"got {node_corr.shape}"
-            )
-        return (node_corr @ params.node_vec) @ params.node_proj.T
-    if node_corr.ndim == 2:
-        if node_corr.shape[1] != num_patterns:
-            raise ValueError(
-                f"node vectors must be (V, {num_patterns}), got {node_corr.shape}"
-            )
-        return node_corr @ params.node_proj.T
-    raise ValueError(f"node input must be 2-D or 3-D, got shape {node_corr.shape}")
+def _collapse(embeddings, weighted: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """``C_j @ node_vec = d_j (w_j . node_vec)`` per node, (..., V, N); the
+    vector nodes ``w_j`` themselves when ``embeddings`` is None."""
+    if embeddings is None:
+        return weighted
+    return embeddings * (weighted @ params.node_vec)[..., None]
 
 
-def attention_scores(node_corr: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Raw (unnormalized) scalar score per view node, (V,)."""
-    return _node_term(node_corr, params) @ params.out
+def _node_term(embeddings, weighted: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Per-node class-space term ``node_proj @ C_j @ node_vec``: (..., V, L)."""
+    return _collapse(embeddings, weighted, params) @ params.node_proj.T
+
+
+def attention_scores(embeddings, weighted: np.ndarray, params: AttentionParams) -> np.ndarray:
+    """Raw score per view node, (..., V), from the factors ``E`` and ``W``
+    (``embeddings=None`` for vector nodes)."""
+    return _node_term(embeddings, weighted, params) @ params.out
 
 
 def normalize_attention(scores: np.ndarray) -> np.ndarray:
-    """Softmax the raw scores into weights on the probability simplex."""
+    """Softmax the raw scores over the view axis (the last) onto the simplex."""
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1:
-        raise ValueError(f"scores must be 1-D, got shape {scores.shape}")
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return stable_softmax(scores)
+    return stable_softmax(scores, axis=-1)
 
 
-def aggregate(node_corr: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Convex combination sum_j alpha[j] * node_corr[j] over the leading axis."""
-    node_corr = np.asarray(node_corr, dtype=np.float64)
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.ndim != 1 or alpha.shape[0] != node_corr.shape[0]:
-        raise ValueError(
-            f"{alpha.shape} weights for {node_corr.shape[0]} node descriptors"
-        )
-    return np.tensordot(alpha, node_corr, axes=1)
+def aggregate(embeddings, weighted: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``sum_j alpha_j outer(d_j, w_j) = E^T diag(alpha) W``, (..., N, N), the
+    bilinear-pooling identity; ``alpha^T W``, (..., N), for vector nodes."""
+    if alpha.shape != weighted.shape[:-1]:
+        raise ValueError(f"{alpha.shape} weights for {weighted.shape[:-1]} nodes")
+    if embeddings is None:
+        return (alpha[..., None, :] @ weighted)[..., 0, :]
+    return np.swapaxes(embeddings * alpha[..., None], -1, -2) @ weighted
 
 
-def aggregate_backward(
-    node_corr: np.ndarray, alpha: np.ndarray, grad_agg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward of :func:`aggregate`: per-node and per-weight gradients."""
-    grad_nodes = alpha.reshape((-1,) + (1,) * grad_agg.ndim) * grad_agg[None, ...]
-    axes = tuple(range(1, node_corr.ndim))
-    grad_alpha = np.tensordot(node_corr, grad_agg, axes=(axes, tuple(range(grad_agg.ndim))))
-    return grad_nodes, grad_alpha
+def aggregate_backward(embeddings, weighted: np.ndarray, alpha: np.ndarray, grad_agg: np.ndarray):
+    """Backward of :func:`aggregate`: ``(grad_alpha, grad_embeddings, grad_weighted)``.
 
-
-def scores_backward(
-    node_corr: np.ndarray, params: AttentionParams, grad_scores: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-    """Backward of :func:`attention_scores`.
-
-    Returns ``(grad_node_proj, grad_node_vec, grad_out, grad_nodes)``: the
-    gradients of the three parameters the scores use and of the node
-    descriptors. ``grad_node_vec`` is None for vector-valued nodes, which
-    skip the ``node_vec`` contraction.
+    With ``G`` the upstream gradient of a matrix aggregate,
+    ``d alpha_j = d_j^T G w_j``, ``d d_j = alpha_j G w_j`` and
+    ``d w_j = alpha_j G^T d_j``; ``grad_embeddings`` is None for vector nodes.
     """
-    node_corr = np.asarray(node_corr, dtype=np.float64)
-    grad_scores = np.asarray(grad_scores, dtype=np.float64)
-    proj_grad = grad_scores[:, None] * params.out[None, :]  # (V, L)
-    back = proj_grad @ params.node_proj  # (V, N)
-    if node_corr.ndim == 3:
-        collapsed = node_corr @ params.node_vec  # (V, N)
-        grad_node_vec = np.einsum("vnm,vn->m", node_corr, back)
-        grad_nodes = np.einsum("vn,m->vnm", back, params.node_vec)
-    else:
-        collapsed, grad_node_vec, grad_nodes = node_corr, None, back
-    # (collapsed @ node_proj.T) is the node term the forward pass scored
-    grad_out = (collapsed @ params.node_proj.T).T @ grad_scores
-    return proj_grad.T @ collapsed, grad_node_vec, grad_out, grad_nodes
+    if embeddings is None:
+        grad_alpha = (weighted @ grad_agg[..., :, None])[..., 0]
+        return grad_alpha, None, alpha[..., None] * grad_agg[..., None, :]
+    g_w = weighted @ np.swapaxes(grad_agg, -1, -2)  # row j: G w_j
+    grad_alpha = np.sum(embeddings * g_w, axis=-1)
+    return grad_alpha, alpha[..., None] * g_w, alpha[..., None] * (embeddings @ grad_agg)
+
+
+def scores_backward(embeddings, weighted: np.ndarray, params: AttentionParams, grad_scores: np.ndarray):
+    """Backward of :func:`attention_scores`, parameter gradients summed over nodes.
+
+    Returns ``(grad_node_proj, grad_node_vec, grad_out, grad_embeddings,
+    grad_weighted)``. With ``back_j = grad_scores_j * (out @ node_proj)``,
+    ``d d_j = back_j (w_j . node_vec)`` and ``d w_j = node_vec (back_j . d_j)``;
+    ``grad_node_vec`` and ``grad_embeddings`` are None for vector nodes.
+    """
+    collapsed = _collapse(embeddings, weighted, params)
+    # sum_j grad_scores_j * collapsed_j carries both projection gradients
+    pooled = grad_scores.reshape(-1) @ collapsed.reshape(-1, collapsed.shape[-1])
+    grad_proj, grad_out = np.outer(params.out, pooled), params.node_proj @ pooled
+    back = grad_scores[..., None] * (params.out @ params.node_proj)
+    if embeddings is None:
+        return grad_proj, None, grad_out, None, back
+    grad_dot = np.sum(back * embeddings, axis=-1)  # gradient of w_j . node_vec
+    grad_vec = grad_dot.reshape(-1) @ weighted.reshape(-1, weighted.shape[-1])
+    grad_embeddings = back * (weighted @ params.node_vec)[..., None]
+    return grad_proj, grad_vec, grad_out, grad_embeddings, grad_dot[..., None] * params.node_vec

@@ -1,10 +1,11 @@
-"""Global feature layer and softmax classifier with log-likelihood loss.
+"""Global feature layer and softmax classifier, batched along the leading axis.
 
-The aggregated correlation matrix is flattened row-major, passed through a
-fully connected layer with a sigmoid to give a bounded global feature, and
-classified by a linear layer whose logits a softmax turns into class
-probabilities. The loss, the negative log-likelihood of the true class, is
-computed from the logits (``model.sample_loss``).
+Each shape's aggregated correlation matrix is flattened row-major, passed
+through a fully connected layer with a sigmoid to give a bounded global
+feature, and classified by a linear layer whose logits a softmax turns into
+class probabilities; each layer is one matrix product per batch. The loss,
+the negative log-likelihood of the true class, is computed from the logits
+(``model.sample_loss``).
 """
 
 from dataclasses import dataclass
@@ -84,11 +85,12 @@ def init_classifier(
 
 
 def _flatten_descriptor(agg: np.ndarray, params: ClassifierParams) -> np.ndarray:
+    """(B, ...) descriptors as (B, K) rows, each flattened row-major."""
     agg = np.asarray(agg, dtype=np.float64)
-    flat = agg.reshape(-1)  # row-major
-    if flat.shape[0] != params.input_dim:
+    flat = agg.reshape(len(agg), -1)
+    if flat.shape[1] != params.input_dim:
         raise ValueError(
-            f"descriptor of size {flat.shape[0]} for a layer expecting {params.input_dim}"
+            f"descriptor of size {flat.shape[1]} for a layer expecting {params.input_dim}"
         )
     if not np.isfinite(flat).all():
         raise ValueError("descriptor must be finite")
@@ -96,56 +98,41 @@ def _flatten_descriptor(agg: np.ndarray, params: ClassifierParams) -> np.ndarray
 
 
 def global_feature(agg: np.ndarray, params: ClassifierParams) -> np.ndarray:
-    """Bounded global feature sigmoid(W @ vec(agg) + b), entries in (0, 1).
+    """Bounded global features sigmoid(W @ vec(agg_b) + b), (B, F), in (0, 1).
 
-    ``agg`` may be the (N, N) aggregated matrix or an already-flat vector
-    (the pooled-descriptor modes); flattening is row-major.
+    ``agg`` holds one descriptor per shape along its leading axis: (B, N, N)
+    matrices or (B, K) vectors, flattened row-major.
     """
     flat = _flatten_descriptor(agg, params)
-    return sigmoid(params.feat_weights @ flat + params.feat_bias)
+    return sigmoid(flat @ params.feat_weights.T + params.feat_bias)
 
 
 def classify(feature: np.ndarray, params: ClassifierParams) -> np.ndarray:
-    """Class logits W @ feature + b, (L,); their softmax is the class posterior."""
+    """Class logits W @ feature + b along the last axis: (..., F) -> (..., L)."""
     feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape != (params.feature_dim,):
-        raise ValueError(
-            f"feature shape {feature.shape}, expected ({params.feature_dim},)"
-        )
-    return params.cls_weights @ feature + params.cls_bias
+    if feature.shape[-1:] != (params.feature_dim,):
+        raise ValueError(f"feature shape {feature.shape}, expected (..., {params.feature_dim})")
+    return feature @ params.cls_weights.T + params.cls_bias
 
 
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """One-hot ground-truth distribution for a class label."""
-    if not 0 <= label < num_classes:
-        raise ValueError(f"label {label} out of range [0, {num_classes})")
-    q = np.zeros(num_classes)
-    q[label] = 1.0
-    return q
+def classifier_backward(agg, feature, probs, labels, params: ClassifierParams):
+    """Backward pass of the summed -log P[label] over a batch.
 
-
-def classifier_backward(
-    agg: np.ndarray,
-    feature: np.ndarray,
-    probs: np.ndarray,
-    label: int,
-    params: ClassifierParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass for one sample's -log P[label].
-
-    Takes the cached forward values (descriptor, feature, probabilities) and
-    returns ``(grad_feat_weights, grad_feat_bias, grad_cls_weights,
-    grad_cls_bias, grad_agg)`` where ``grad_agg`` matches the shape of
-    ``agg``. The softmax/cross-entropy pair collapses to the logit gradient
-    probs - one_hot(label); the classifier-weight gradient returned here is
-    the classification route only.
+    Takes the cached descriptors (B, ...), features (B, F) and probabilities
+    (B, L) and the (B,) labels; returns ``(grad_feat_weights, grad_feat_bias,
+    grad_cls_weights, grad_cls_bias, grad_agg)``: the parameter gradients
+    summed over the batch, and ``grad_agg`` shaped like ``agg``. The logit
+    gradient is probs minus the one-hot label; the feature-layer gradient
+    is one GEMM, ``g_pre^T @ flat``. The classifier weights get the
+    classification route only.
     """
     flat = _flatten_descriptor(agg, params)
-    grad_logits = probs - one_hot(label, params.num_classes)
-    grad_cls_weights = np.outer(grad_logits, feature)
-    grad_cls_bias = grad_logits
-    grad_preact = (params.cls_weights.T @ grad_logits) * feature * (1.0 - feature)
-    grad_feat_weights = np.outer(grad_preact, flat)
-    grad_feat_bias = grad_preact
-    grad_agg = (params.feat_weights.T @ grad_preact).reshape(np.asarray(agg).shape)
-    return grad_feat_weights, grad_feat_bias, grad_cls_weights, grad_cls_bias, grad_agg
+    labels = np.asarray(labels)
+    if labels.shape != (len(flat),) or not np.all((labels >= 0) & (labels < params.num_classes)):
+        raise ValueError(f"labels {labels} out of range [0, {params.num_classes})")
+    grad_logits = np.array(probs, dtype=np.float64)
+    grad_logits[np.arange(len(flat)), labels] -= 1.0
+    grad_pre = (grad_logits @ params.cls_weights) * feature * (1.0 - feature)
+    grad_agg = (grad_pre @ params.feat_weights).reshape(np.shape(agg))
+    return (grad_pre.T @ flat, grad_pre.sum(axis=0), grad_logits.T @ feature,
+            grad_logits.sum(axis=0), grad_agg)

@@ -13,10 +13,14 @@ verbosity: debug, info (default), warning, error, or quiet.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
 import os
+import platform
+import resource
+import subprocess
 import sys
 import time
 
@@ -26,8 +30,10 @@ from . import dataio, evalmetrics, trainer
 from .errors import ViewGraphError
 from .model import (
     TrainConfig,
+    chunks,
     forward,
     load_checkpoint,
+    sample_loss,
     save_checkpoint,
 )
 
@@ -61,14 +67,33 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=None)
+def _software() -> dict:
+    """Python, numpy and BLAS versions, and ``git describe`` of the source
+    tree (None outside a git checkout); looked up once per process."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    try:
+        git = subprocess.run(["git", "describe", "--always", "--dirty"], capture_output=True,
+                             text=True, timeout=10, cwd=os.path.dirname(os.path.abspath(__file__)))
+        described = git.stdout.strip() if git.returncode == 0 else None
+    except (OSError, subprocess.SubprocessError):
+        described = None
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}", "git_describe": described or None}
+
+
 def _write_manifest(path, command: str, config, inputs: dict, outputs: list, seconds: float):
-    """Record what a run did: config, input hashes, outputs, wall time."""
+    """Record what a run did: config, input hashes, outputs, wall time, the
+    software it ran on and the process's peak resident memory."""
     payload = {
         "command": command,
         "config": None if config is None else vars(config).copy(),
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "wall_seconds": seconds,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        **_software(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     dataio.write_atomic(path, text.encode(), "manifest")
@@ -223,18 +248,16 @@ def _load_model_and_data(model_path, data_path):
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     params, config, dataset = _load_model_and_data(args.model, args.data)
-    from .model import sample_loss
-
     losses = []
     hits = 0
-    for sample in dataset.samples:
-        trace = forward(sample, params, config)
-        losses.append(sample_loss(trace, sample))
-        hits += int(np.argmax(trace.probs)) == sample.label
+    for chunk in chunks(dataset.samples):
+        trace = forward(chunk, params, config)
+        losses.append(sample_loss(trace, chunk))
+        hits += sum(int(k) == s.label for k, s in zip(trace.probs.argmax(axis=1), chunk))
     summary = {
         "num_samples": dataset.num_samples,
         "accuracy": hits / dataset.num_samples,
-        "mean_loss": float(np.mean(losses)),
+        "mean_loss": float(np.mean(np.concatenate(losses))),
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -325,8 +348,10 @@ def _cmd_attention_dump(args) -> int:
     if config.pooled_mode:
         raise ViewGraphError("pooled models have no attention weights to dump")
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
-    for si, sample in enumerate(dataset.samples):
-        alpha = forward(sample, params, config).alpha
+    alphas = np.concatenate(
+        [forward(chunk, params, config).alpha for chunk in chunks(dataset.samples)]
+    )
+    for si, alpha in enumerate(alphas):
         top = int(np.argmax(alpha))
         bottom = int(np.argmin(alpha))
         for vi, a in enumerate(alpha):

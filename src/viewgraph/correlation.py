@@ -7,6 +7,9 @@ the other. Each view node accumulates its correlations with every node
 an N x N descriptor of the shape as seen from that node. Because each
 outer product of simplex vectors has entries summing to 1, the cumulative
 matrix's entries sum to the node's total similarity mass.
+
+The model never builds these matrices; it keeps node j's as the factors
+``d_j`` and ``w_j`` (row j of ``W = S @ E``), see ``viewgraph.attention``.
 """
 
 import numpy as np
@@ -37,18 +40,16 @@ def all_cumulative_correlations(
     return cums, weighted
 
 
-def all_correlation_backward(
-    embeddings: np.ndarray,
-    similarity: np.ndarray,
-    weighted: np.ndarray,
-    grad_cums: np.ndarray,
-) -> np.ndarray:
-    """Backward of :func:`all_cumulative_correlations` for per-node upstream grads.
+def all_correlation_backward(similarity: np.ndarray, grad_embeddings, grad_weighted: np.ndarray):
+    """Embedding gradient through the factors of the cumulative correlations.
 
-    ``weighted`` is the (V, N) cache returned by the forward pass. Each
-    embedding receives a left-factor term through its own cumulative matrix
-    and right-factor terms from every node's.
+    The model keeps each node's matrix ``outer(d_j, w_j)`` factored as the
+    embeddings ``E`` and the weighted sums ``W = S @ E`` (any leading batch
+    axes). Given the gradients reaching each factor directly, the embeddings
+    receive ``grad_embeddings + S^T @ grad_weighted``; ``grad_embeddings``
+    is None when only ``W`` was used (vector nodes).
     """
-    left = np.einsum("jnm,jm->jn", grad_cums, weighted)
-    right_per_node = np.einsum("jnm,jn->jm", grad_cums, embeddings)
-    return left + similarity @ right_per_node
+    grad = np.swapaxes(similarity, -1, -2) @ grad_weighted
+    if grad_embeddings is not None:
+        grad += grad_embeddings
+    return grad

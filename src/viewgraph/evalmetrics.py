@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .dataio import write_csv
-from .model import forward
+from .model import EVAL_CHUNK, chunks, forward
 
 
 def accuracy(params, config, dataset) -> float:
@@ -31,9 +31,9 @@ def accuracy(params, config, dataset) -> float:
     if dataset.num_samples == 0:
         raise ValueError("cannot score an empty dataset")
     hits = 0
-    for sample in dataset.samples:
-        probs = forward(sample, params, config).probs
-        hits += int(np.argmax(probs)) == sample.label
+    for chunk in chunks(dataset.samples):
+        predicted = forward(chunk, params, config).probs.argmax(axis=1)
+        hits += sum(int(k) == s.label for k, s in zip(predicted, chunk))
     return hits / dataset.num_samples
 
 
@@ -127,15 +127,19 @@ def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
     gallery size, minus one under ``exclude_self``. Metrics read the
     ranking through ``run.ranking``, which computes it once per run.
     """
-    ranked = np.argsort(
-        distance_matrix(run.query_features, run.gallery_features, run.distance),
-        axis=1, kind="stable",
-    )
-    if run.exclude_self:
-        # A stable order of the other items does not depend on the one removed.
-        keep = ranked != np.arange(run.num_queries)[:, None]
-        ranked = ranked[keep].reshape(run.num_queries, -1)
-    relevant = run.gallery_labels[ranked] == run.query_labels[:, None]
+    width = run.gallery_features.shape[0] - run.exclude_self
+    ranked = np.empty((run.num_queries, width), dtype=np.int64)
+    relevant = np.empty((run.num_queries, width), dtype=bool)
+    # Blocks of queries: only one block's distance rows exist at a time.
+    for lo in range(0, run.num_queries, EVAL_CHUNK):
+        block = slice(lo, lo + EVAL_CHUNK)
+        order = np.argsort(distance_matrix(run.query_features[block], run.gallery_features,
+                                           run.distance), axis=1, kind="stable")
+        if run.exclude_self:
+            # A stable order of the other items does not depend on the one removed.
+            order = order[order != np.arange(lo, lo + len(order))[:, None]].reshape(len(order), -1)
+        ranked[block] = order
+        relevant[block] = run.gallery_labels[order] == run.query_labels[block, None]
     return ranked, relevant
 
 

@@ -1,11 +1,15 @@
 """Full network: configuration, parameter container, forward and backward passes.
 
-One forward pass per shape: embed the view features, accumulate spatially
-weighted pattern correlations per view node, softmax-attend over the nodes,
-aggregate, and classify. The trace caches every intermediate needed by the
-hand-derived backward pass and by inspection tools.
+One forward and one backward call per batch of shapes: embed every view
+feature, form each view node's similarity-weighted embedding sum ``w_j``,
+score the nodes and softmax-attend over them, aggregate, and classify.
+Node j's correlation matrix ``outer(d_j, w_j)`` stays factored as the
+embeddings ``E`` and the weighted sums ``W = S @ E``, so the (V, N, N) node
+tensor never exists, and the feature layer is one matrix product per batch
+in each pass. A single sample is the batch of one, its trace without the
+batch axis.
 
-Ablation flags substitute tensors rather than branching the math:
+Ablation flags substitute stages rather than branching the math:
 ``no_spatiality`` feeds an all-ones similarity matrix, ``no_attention``
 fixes uniform weights, as does ``no_attention_c`` (scores blind to the
 node descriptors give every view the same score), ``no_latent`` uses
@@ -43,8 +47,10 @@ from .classifier import (
     global_feature,
     init_classifier,
 )
-from .correlation import all_correlation_backward, all_cumulative_correlations
-from .dataio import ShapeSample, write_atomic
+# The dense all_cumulative_correlations is not called here; perfbench/spans.py
+# traces the correlation stage under this name.
+from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
+from .dataio import write_atomic
 from .errors import DataIOError, FormatError
 from .numeric import softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
@@ -210,199 +216,183 @@ def validate_params(params: ModelParams, config: TrainConfig) -> None:
 
 @dataclass
 class ForwardTrace:
-    """Cached intermediates of one shape's forward pass.
+    """Cached intermediates of one forward pass over a batch, batch axis first.
 
-    Graph-path fields are ``None`` in the pooled modes, which never build
-    node descriptors or attention weights; ``scores`` is also ``None`` when
-    attention is forced uniform.
+    The trace ``forward`` returns for a single sample drops the batch axis.
+    ``embeddings`` and ``weighted_sums`` (V, N) are the factors of the node
+    matrices; ``agg`` is the (N, N) descriptor, (N,) in the vector modes.
+    ``weighted_sums`` and ``alpha`` are None in the pooled modes.
     """
 
     embeddings: np.ndarray
     weighted_sums: Optional[np.ndarray]
-    node_corr: Optional[np.ndarray]
-    scores: Optional[np.ndarray]
     alpha: Optional[np.ndarray]
     agg: np.ndarray
     global_feature: np.ndarray
     logits: np.ndarray
     probs: np.ndarray
-    pool_argmax: Optional[np.ndarray] = None
+
+    def _map(self, fn) -> "ForwardTrace":
+        return ForwardTrace(**{k: None if v is None else fn(v) for k, v in vars(self).items()})
 
 
-def _check_sample(sample: ShapeSample, config: TrainConfig) -> np.ndarray:
-    feats = np.asarray(sample.features, dtype=np.float64)
-    if feats.ndim != 2:
-        raise ValueError(f"sample features must be (V, D), got {feats.shape}")
-    if feats.shape[0] != config.views:
-        raise ValueError(
-            f"sample has {feats.shape[0]} views, config expects {config.views}"
-        )
-    if feats.shape[1] != config.input_dim:
-        raise ValueError(
-            f"sample feature dim {feats.shape[1]}, config expects {config.input_dim}"
-        )
-    if sample.graph.num_views != feats.shape[0]:
-        raise ValueError("sample graph and features disagree on the view count")
-    if not config.no_spatiality and not config.pooled_mode:
-        if sample.graph.sigma != config.sigma:
-            raise ValueError(
-                f"sample graph built with sigma={sample.graph.sigma}, "
-                f"config has sigma={config.sigma}; rebuild the graphs"
-            )
-    return feats
+# Shapes per forward call in eval, retrieval and attention-dump, and queries
+# per ranking block in evalmetrics: a chunk's (C, N, N) descriptors stay near
+# 4 MB at the paper point, a block's distance rows 0.5 MB at 2,000 items.
+EVAL_CHUNK = 32
 
 
-def _similarity_for(sample: ShapeSample, config: TrainConfig) -> np.ndarray:
-    if config.no_spatiality:
-        v = sample.graph.num_views
-        return np.ones((v, v))
-    return sample.graph.similarity
+def chunks(samples):
+    """Consecutive slices of at most ``EVAL_CHUNK`` samples."""
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        yield samples[lo : lo + EVAL_CHUNK]
 
 
-def forward(sample: ShapeSample, params: ModelParams, config: TrainConfig) -> ForwardTrace:
-    """Run the full pipeline on one shape and cache all intermediates."""
+def _inputs(samples, config: TrainConfig):
+    """Check every sample once. Returns ``(features, similarity, labels,
+    single)``: (B, V, D) float64 features, (B, V, V) similarities (all ones
+    under no_spatiality, None when pooled), (B,) labels, and whether
+    ``samples`` was one sample (anything with a label) rather than a sequence.
+    """
+    single = hasattr(samples, "label")
+    batch = [samples] if single else list(samples)
+    if not batch:
+        raise ValueError("empty batch")
+    graphed = not config.pooled_mode
+    for s in batch:
+        if np.shape(s.features) != (config.views, config.input_dim):
+            raise ValueError(f"sample features are {np.shape(s.features)}, config "
+                             f"expects ({config.views}, {config.input_dim}) (V, D)")
+        if s.graph.num_views != config.views:
+            raise ValueError("sample graph and features disagree on the view count")
+        if graphed and not config.no_spatiality and s.graph.sigma != config.sigma:
+            raise ValueError(f"sample graph built with sigma={s.graph.sigma}, config has "
+                             f"sigma={config.sigma}; rebuild the graphs")
+    feats = np.array([s.features for s in batch], dtype=np.float64)
+    if not graphed:
+        sim = None
+    elif config.no_spatiality:
+        sim = np.ones((len(batch), config.views, config.views))
+    else:
+        sim = np.array([s.graph.similarity for s in batch])
+    return feats, sim, np.array([s.label for s in batch], dtype=np.int64), single
+
+
+def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
+    """Run the pipeline on a sequence of shapes, or one sample (the B=1 view).
+
+    The flags pick each stage once per batch: identity embed (no_latent),
+    all-ones similarity (no_spatiality), uniform weights (no_attention,
+    no_attention_c), vector aggregate (no_correlation) or a pooled
+    descriptor (mean_pool, max_pool).
+    """
     validate_params(params, config)
-    feats = _check_sample(sample, config)
-    num_views = feats.shape[0]
-
+    feats, sim, _, single = _inputs(samples, config)
+    size, views, _ = feats.shape
     if config.no_latent:
         if not np.isfinite(feats).all():
             raise ValueError("features must be finite")
-        embeddings = feats
+        emb = feats
     else:
-        embeddings = embed(feats, params.latent)
-
-    pool_argmax = None
-    if config.pooled_mode:
-        if config.mean_pool:
-            agg = embeddings.mean(axis=0)
-        else:
-            pool_argmax = embeddings.argmax(axis=0)
-            agg = embeddings[pool_argmax, np.arange(embeddings.shape[1])]
-        weighted = node = scores = alpha = None
+        emb = embed(feats.reshape(size * views, -1), params.latent).reshape(size, views, -1)
+    weighted = alpha = None
+    if config.mean_pool:
+        agg = emb.mean(axis=1)
+    elif config.max_pool:
+        agg = emb.max(axis=1)
     else:
-        sim = _similarity_for(sample, config)
-        if config.no_correlation:
-            weighted = sim @ embeddings
-            node = weighted
-        else:
-            node, weighted = all_cumulative_correlations(embeddings, sim)
+        weighted = sim @ emb
+        left = None if config.no_correlation else emb
         if config.no_attention or config.no_attention_c:
-            scores = None
-            alpha = np.full(num_views, 1.0 / num_views)
+            alpha = np.full((size, views), 1.0 / views)
         else:
-            scores = attention_scores(node, params.attn)
-            alpha = normalize_attention(scores)
-        agg = aggregate(node, alpha)
-
+            alpha = normalize_attention(attention_scores(left, weighted, params.attn))
+        agg = aggregate(left, weighted, alpha)
     feature = global_feature(agg, params.cls)
     logits = classify(feature, params.cls)
-    return ForwardTrace(
-        embeddings=embeddings,
-        weighted_sums=weighted,
-        node_corr=node,
-        scores=scores,
-        alpha=alpha,
-        agg=agg,
-        global_feature=feature,
-        logits=logits,
-        probs=stable_softmax(logits),
-        pool_argmax=pool_argmax,
-    )
+    trace = ForwardTrace(emb, weighted, alpha, agg, feature, logits,
+                         stable_softmax(logits, axis=-1))
+    return trace._map(lambda v: v[0]) if single else trace
 
 
-def _check_trace(trace: ForwardTrace, sample: ShapeSample, config: TrainConfig) -> None:
-    n = config.effective_patterns
-    num_views = sample.graph.num_views
-    ok = (
-        trace.embeddings.shape == (num_views, n)
-        and trace.probs.shape == (config.num_classes,)
-        and trace.global_feature.shape == (config.feature_dim,)
-        and np.asarray(trace.agg).size == config.descriptor_dim
-    )
-    if not ok:
-        raise RuntimeError(
-            "stale trace: cached shapes do not match the current sample/config"
-        )
+def backward(trace: ForwardTrace, samples, params: ModelParams, config: TrainConfig):
+    """Gradients of the -log P[label] summed over the batch, one attribute per block.
 
-
-def backward(
-    trace: ForwardTrace,
-    sample: ShapeSample,
-    params: ModelParams,
-    config: TrainConfig,
-) -> SimpleNamespace:
-    """Gradients of this sample's -log P[label], one attribute per block.
-
-    Only the blocks that can move the loss are present. Absent are
+    ``trace`` and ``samples`` are as ``forward`` gave and took them. Only
+    the blocks that can move the loss are present. Absent are
     ``attn_ctx_vec`` and ``attn_bias`` always (the scores do not use them),
     ``latent_*`` under ``no_latent``, every ``attn_*`` block under
     ``no_attention``, ``no_attention_c`` and the pooled modes, and
-    ``attn_node_vec`` under ``no_correlation``.
-
-    The classifier weight matrix gets the classification-route gradient
-    only; see ``TrainConfig`` on ``drop_eq10_second_term``.
+    ``attn_node_vec`` under ``no_correlation``. The classifier weight matrix
+    gets the classification-route gradient only; see ``TrainConfig`` on
+    ``drop_eq10_second_term``.
     """
     validate_params(params, config)
-    _check_trace(trace, sample, config)
-    feats = _check_sample(sample, config)
-
+    feats, sim, labels, single = _inputs(samples, config)
+    trace = trace._map(lambda v: v[None]) if single else trace
+    size, views, _ = feats.shape
+    emb = trace.embeddings
+    want = (size, views, config.effective_patterns)
+    if emb.shape != want or trace.probs.shape != (size, config.num_classes):
+        raise RuntimeError("stale trace: cached shapes do not match the current batch/config")
     gfw, gfb, gcw, gcb, grad_agg = classifier_backward(
-        trace.agg, trace.global_feature, trace.probs, sample.label, params.cls
+        trace.agg, trace.global_feature, trace.probs, labels, params.cls
     )
     grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_weights": gcw, "cls_bias": gcb}
-
-    if config.pooled_mode:
-        num_views, width = trace.embeddings.shape
-        if config.mean_pool:
-            grad_embed = np.broadcast_to(grad_agg / num_views, (num_views, width)).copy()
-        else:
-            grad_embed = np.zeros((num_views, width))
-            grad_embed[trace.pool_argmax, np.arange(width)] = grad_agg
+    if config.mean_pool:
+        grad_embed = np.repeat(grad_agg[:, None, :] / views, views, axis=1)
+    elif config.max_pool:
+        grad_embed = np.zeros_like(emb)
+        rows, cols = np.indices(grad_agg.shape)
+        grad_embed[rows, emb.argmax(axis=1), cols] = grad_agg
     else:
-        sim = _similarity_for(sample, config)
-        grad_node, grad_alpha = aggregate_backward(trace.node_corr, trace.alpha, grad_agg)
+        left = None if config.no_correlation else emb
+        weighted = trace.weighted_sums
+        grad_alpha, grad_left, grad_weighted = aggregate_backward(
+            left, weighted, trace.alpha, grad_agg
+        )
         if not (config.no_attention or config.no_attention_c):
-            grad_scores = softmax_grad(trace.alpha, grad_alpha)
-            g_proj, g_vec, g_out, g_nodes = scores_backward(
-                trace.node_corr, params.attn, grad_scores
+            g_proj, g_vec, g_out, g_left, g_weighted = scores_backward(
+                left, weighted, params.attn, softmax_grad(trace.alpha, grad_alpha)
             )
-            grads["attn_node_proj"] = g_proj
-            grads["attn_out"] = g_out
+            grads.update(attn_node_proj=g_proj, attn_out=g_out)
+            grad_weighted += g_weighted
             if g_vec is not None:
                 grads["attn_node_vec"] = g_vec
-            grad_node += g_nodes  # in place: one (V, N, N) temporary fewer
-        if config.no_correlation:
-            grad_embed = sim.T @ grad_node
-        else:
-            grad_embed = all_correlation_backward(
-                trace.embeddings, sim, trace.weighted_sums, grad_node
-            )
-
+                grad_left += g_left
+        grad_embed = all_correlation_backward(sim, grad_left, grad_weighted)
     if not config.no_latent:
-        _, gfilters, goffsets = embed_backward(feats, params.latent, grad_embed)
-        grads["latent_filters"] = gfilters
-        grads["latent_offsets"] = goffsets
+        flat = (size * views, -1)
+        _, grads["latent_filters"], grads["latent_offsets"] = embed_backward(
+            feats.reshape(flat), params.latent, grad_embed.reshape(flat)
+        )
     return SimpleNamespace(**grads)
 
 
-def sample_loss(trace: ForwardTrace, sample: ShapeSample) -> float:
-    """Negative log-likelihood of one shape's true class, from the logits.
+def sample_loss(trace: ForwardTrace, samples):
+    """Negative log-likelihood of each shape's true class, from the logits:
+    a (B,) array for a sequence of samples, a float for one sample.
 
     ``logsumexp(z) - z[label]`` is exact where the true class's probability
     underflows, so a saturated prediction reports its real loss.
     """
-    z = trace.logits
-    if not 0 <= sample.label < z.shape[0]:
-        raise ValueError(f"label {sample.label} out of range [0, {z.shape[0]})")
-    top = z.max()
-    return float(top - z[sample.label] + np.log(np.exp(z - top).sum()))
+    single = hasattr(samples, "label")
+    labels = np.array([samples.label] if single else [s.label for s in samples])
+    z = np.atleast_2d(trace.logits)
+    if len(z) != len(labels):
+        raise ValueError(f"{len(z)} rows of logits for {len(labels)} samples")
+    bad = (labels < 0) | (labels >= z.shape[1])
+    if bad.any():
+        raise ValueError(f"label {labels[bad][0]} out of range [0, {z.shape[1]})")
+    top = z.max(axis=1)
+    loss = top - z[np.arange(len(labels)), labels] + np.log(np.exp(z - top[:, None]).sum(axis=1))
+    return float(loss[0]) if single else loss
 
 
 def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.ndarray:
     """Global feature of every sample, (M, F); the retrieval representation."""
-    return np.stack(
-        [forward(s, params, config).global_feature for s in dataset.samples]
+    return np.concatenate(
+        [forward(chunk, params, config).global_feature for chunk in chunks(dataset.samples)]
     )
 
 
@@ -430,9 +420,9 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for _, arr in params.blocks():
-        buf.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    write_atomic(path, buf.getvalue(), "checkpoint")
+    for _, arr in params.blocks():  # through the buffer protocol: no copy per block
+        buf.write(np.ascontiguousarray(arr, dtype="<f8"))
+    write_atomic(path, buf.getbuffer(), "checkpoint")
 
 
 def _check_config_types(cfg_dict: dict) -> None:

@@ -1,8 +1,9 @@
 """Mini-batch SGD training loop and a finite-difference gradient checker.
 
 Everything here is deterministic for a given (dataset, config): parameter
-init draws from one seeded stream, epoch shuffles from another, and batch
-gradients are summed one shape at a time in sample order.
+init draws from one seeded stream, epoch shuffles from another, and each
+mini-batch takes one batched forward and one backward call, whose
+gradients come summed over the batch in a fixed order.
 """
 
 import time
@@ -102,33 +103,28 @@ def train(
         hits = 0
         for lo in range(0, num, config.batch_size):
             batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
-            total = None
-            for sample in batch:
-                try:
-                    trace = forward(sample, params, config)
-                    loss = sample_loss(trace, sample)
-                    if not np.isfinite(loss):
-                        raise ValueError("non-finite loss")
-                except ValueError as exc:
-                    # The data passed its checks, so huge parameters made a
-                    # stage non-finite.
-                    raise RuntimeError(
-                        f"training diverged: {exc} in epoch {epoch}, batch starting "
-                        f"at {lo} (learning rate {config.learning_rate}, sigma "
-                        f"{config.sigma})"
-                    ) from exc
-                loss_sum += loss
-                hits += int(np.argmax(trace.probs)) == sample.label
-                grads = vars(backward(trace, sample, params, config))
-                if total is None:
-                    total = {name: np.zeros_like(g) for name, g in grads.items()}
-                for name, g in grads.items():
-                    total[name] += g
-                del trace, grads  # free them before the next shape's are built
+            try:
+                trace = forward(batch, params, config)
+                losses = sample_loss(trace, batch)
+                if not np.isfinite(losses).all():
+                    raise ValueError("non-finite loss")
+            except ValueError as exc:
+                # The data passed its checks, so huge parameters made a
+                # stage non-finite.
+                raise RuntimeError(
+                    f"training diverged: {exc} in epoch {epoch}, batch starting "
+                    f"at {lo} (learning rate {config.learning_rate}, sigma "
+                    f"{config.sigma})"
+                ) from exc
+            loss_sum += float(losses.sum())
+            hits += sum(int(k) == s.label for k, s in zip(trace.probs.argmax(axis=1), batch))
+            grads = vars(backward(trace, batch, params, config))
+            del trace  # free it before the update
+            step = config.learning_rate / len(batch)
             for name, arr in params.blocks():
-                if name in total:
-                    total[name] *= 1.0 / len(batch)
-                    arr -= config.learning_rate * total[name]
+                if name in grads:  # scaled in place: no temporary of the F x N^2 block
+                    arr -= np.multiply(grads[name], step, out=grads[name])
+            del grads
         for name, arr in params.blocks():
             if not np.isfinite(arr).all():
                 raise RuntimeError(

@@ -195,3 +195,134 @@ def naive_shrec(
         for key in keys
     }
     return rows, micro, macro
+
+
+# -- dense per-shape model ----------------------------------------------------
+#
+# The network as first written: one shape at a time, every node's (N, N)
+# cumulative correlation built explicitly. The batched, factored model must
+# agree with it; it reads the parameter blocks and config fields only.
+
+
+def _softmax(x):
+    e = np.exp(x - x.max())
+    return e / e.sum()
+
+
+def _softmax_grad(y, g):
+    return y * (g - np.dot(g, y))
+
+
+def _sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _similarity(sample, config):
+    views = sample.features.shape[0]
+    return np.ones((views, views)) if config.no_spatiality else sample.graph.similarity
+
+
+def dense_forward(sample, params, config):
+    """One shape's forward pass; returns a dict of every intermediate."""
+    p = {name: arr for name, arr in params.blocks()}
+    feats = np.asarray(sample.features, dtype=np.float64)
+    views = feats.shape[0]
+    if config.no_latent:
+        emb = feats
+    else:
+        emb = np.array([_softmax(p["latent_filters"] @ f + p["latent_offsets"])
+                        for f in feats])
+    trace = {"embeddings": emb, "weighted_sums": None, "node_corr": None,
+             "scores": None, "alpha": None, "pool_argmax": None}
+    if config.mean_pool:
+        agg = emb.mean(axis=0)
+    elif config.max_pool:
+        trace["pool_argmax"] = emb.argmax(axis=0)
+        agg = emb.max(axis=0)
+    else:
+        sim = _similarity(sample, config)
+        weighted = sim @ emb
+        if config.no_correlation:
+            node = weighted
+            collapsed = node
+        else:
+            node = np.array([np.outer(emb[j], weighted[j]) for j in range(views)])
+            collapsed = np.array([node[j] @ p["attn_node_vec"] for j in range(views)])
+        if config.no_attention or config.no_attention_c:
+            alpha = np.full(views, 1.0 / views)
+        else:
+            scores = np.array([p["attn_out"] @ (p["attn_node_proj"] @ c) for c in collapsed])
+            trace["scores"] = scores
+            alpha = _softmax(scores)
+        agg = sum(alpha[j] * node[j] for j in range(views))
+        trace.update(weighted_sums=weighted, node_corr=node, alpha=alpha)
+    feature = _sigmoid(p["feat_weights"] @ agg.reshape(-1) + p["feat_bias"])
+    logits = p["cls_weights"] @ feature + p["cls_bias"]
+    trace.update(agg=agg, global_feature=feature, logits=logits, probs=_softmax(logits))
+    return trace
+
+
+def dense_backward(trace, sample, params, config):
+    """Gradients of one shape's -log P[label], {block: array}, for the blocks
+    that can move the loss (the same set the model's backward returns)."""
+    p = {name: arr for name, arr in params.blocks()}
+    feats = np.asarray(sample.features, dtype=np.float64)
+    emb, agg, feature = trace["embeddings"], trace["agg"], trace["global_feature"]
+    views, width = emb.shape
+    g_logits = trace["probs"].copy()
+    g_logits[sample.label] -= 1.0
+    g_pre = (p["cls_weights"].T @ g_logits) * feature * (1.0 - feature)
+    grads = {
+        "feat_weights": np.outer(g_pre, agg.reshape(-1)),
+        "feat_bias": g_pre,
+        "cls_weights": np.outer(g_logits, feature),
+        "cls_bias": g_logits,
+    }
+    g_agg = (p["feat_weights"].T @ g_pre).reshape(agg.shape)
+    if config.mean_pool:
+        g_emb = np.tile(g_agg / views, (views, 1))
+    elif config.max_pool:
+        g_emb = np.zeros((views, width))
+        g_emb[trace["pool_argmax"], np.arange(width)] = g_agg
+    else:
+        sim = _similarity(sample, config)
+        node, alpha, weighted = trace["node_corr"], trace["alpha"], trace["weighted_sums"]
+        g_node = np.array([alpha[j] * g_agg for j in range(views)])
+        g_alpha = np.array([np.sum(node[j] * g_agg) for j in range(views)])
+        if trace["scores"] is not None:
+            g_scores = _softmax_grad(alpha, g_alpha)
+            proj, vec, out = p["attn_node_proj"], p["attn_node_vec"], p["attn_out"]
+            back = np.array([g_scores[j] * (out @ proj) for j in range(views)])
+            if config.no_correlation:
+                collapsed = node
+                g_node = g_node + back
+            else:
+                collapsed = np.array([node[j] @ vec for j in range(views)])
+                grads["attn_node_vec"] = sum(node[j].T @ back[j] for j in range(views))
+                g_node = g_node + np.array([np.outer(back[j], vec) for j in range(views)])
+            grads["attn_node_proj"] = sum(
+                np.outer(g_scores[j] * out, collapsed[j]) for j in range(views)
+            )
+            grads["attn_out"] = sum(g_scores[j] * (proj @ collapsed[j]) for j in range(views))
+        if config.no_correlation:
+            g_emb = sim.T @ g_node
+        else:
+            left = np.array([g_node[j] @ weighted[j] for j in range(views)])
+            right = np.array([g_node[j].T @ emb[j] for j in range(views)])
+            g_emb = left + sim.T @ right
+    if not config.no_latent:
+        g_logit = np.array([_softmax_grad(emb[j], g_emb[j]) for j in range(views)])
+        grads["latent_filters"] = g_logit.T @ feats
+        grads["latent_offsets"] = g_logit.sum(axis=0)
+    return grads
+
+
+def dense_loss(trace, label):
+    z = trace["logits"]
+    top = z.max()
+    return float(top - z[label] + np.log(np.exp(z - top).sum()))

@@ -1,4 +1,4 @@
-"""Attention scoring, normalization, and aggregation over view nodes."""
+"""Attention scoring, normalization, and aggregation over factored view nodes."""
 
 import numpy as np
 import pytest
@@ -27,23 +27,37 @@ def random_attention(rng, classes, width, feat):
     )
 
 
+def factors(rng, views, width, batch=()):
+    """Random embeddings E and weighted sums W, the factors of the node matrices."""
+    return (rng.standard_normal(batch + (views, width)),
+            rng.standard_normal(batch + (views, width)))
+
+
+def node_matrices(emb, weighted):
+    """The dense (..., V, N, N) node matrices outer(d_j, w_j)."""
+    return emb[..., :, None] * weighted[..., None, :]
+
+
 class TestScores:
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
         views, width, classes, feat = 5, 4, 3, 6
         params = random_attention(rng, classes, width, feat)
-        node_corr = rng.standard_normal((views, width, width))
-        scores = attention_scores(node_corr, params)
-        for j in range(views):
-            proj = params.node_proj @ (node_corr[j] @ params.node_vec)
-            assert scores[j] == pytest.approx(float(params.out @ proj), rel=1e-12)
+        emb, weighted = factors(rng, views, width, batch=(2,))
+        scores = attention_scores(emb, weighted, params)
+        assert scores.shape == (2, views)
+        for b in range(2):
+            for j in range(views):
+                node = np.outer(emb[b, j], weighted[b, j])
+                proj = params.node_proj @ (node @ params.node_vec)
+                assert scores[b, j] == pytest.approx(float(params.out @ proj), rel=1e-12)
 
     def test_vector_node_input(self):
         # vector descriptors skip the node_vec contraction
         rng = np.random.default_rng(1)
         params = random_attention(rng, 3, 4, 6)
         nodes = rng.standard_normal((5, 4))
-        scores = attention_scores(nodes, params)
+        scores = attention_scores(None, nodes, params)
         for j in range(5):
             proj = params.node_proj @ nodes[j]
             assert scores[j] == pytest.approx(float(params.out @ proj), rel=1e-12)
@@ -53,8 +67,8 @@ class TestScores:
         softmax ignores, so the scores leave out ctx_vec and bias."""
         rng = np.random.default_rng(2)
         params = random_attention(rng, 3, 4, 6)
-        node_corr = rng.standard_normal((5, 4, 4))
-        scores = attention_scores(node_corr, params)
+        emb, weighted = factors(rng, 5, 4)
+        scores = attention_scores(emb, weighted, params)
         alpha = normalize_attention(scores)
         cls_w = rng.standard_normal((3, 6))
         shift = float((cls_w @ params.ctx_vec + params.bias) @ params.out)
@@ -66,15 +80,19 @@ class TestScores:
             bias=params.bias - 1.2,
             out=params.out,
         )
-        np.testing.assert_array_equal(attention_scores(node_corr, shifted), scores)
+        np.testing.assert_array_equal(attention_scores(emb, weighted, shifted), scores)
 
     def test_projections_shape(self):
         rng = np.random.default_rng(3)
         params = random_attention(rng, 2, 3, 4)
-        node_corr = rng.standard_normal((6, 3, 3))
-        proj = _node_term(node_corr, params)
-        assert proj.shape == (6, 2)
-        np.testing.assert_array_equal(attention_scores(node_corr, params), proj @ params.out)
+        emb, weighted = factors(rng, 6, 3, batch=(4,))
+        proj = _node_term(emb, weighted, params)
+        assert proj.shape == (4, 6, 2)
+        np.testing.assert_array_equal(
+            attention_scores(emb, weighted, params), proj @ params.out
+        )
+        dense = node_matrices(emb, weighted) @ params.node_vec @ params.node_proj.T
+        np.testing.assert_allclose(proj, dense, rtol=1e-12, atol=1e-14)
 
 
 class TestNormalize:
@@ -99,61 +117,84 @@ class TestNormalize:
 class TestAggregate:
     def test_uniform_weights_give_mean(self):
         rng = np.random.default_rng(5)
-        nodes = rng.standard_normal((4, 3, 3))
-        agg = aggregate(nodes, np.full(4, 0.25))
-        np.testing.assert_allclose(agg, nodes.mean(axis=0), atol=1e-12)
+        emb, weighted = factors(rng, 4, 3, batch=(2,))
+        agg = aggregate(emb, weighted, np.full((2, 4), 0.25))
+        want = node_matrices(emb, weighted).mean(axis=1)
+        np.testing.assert_allclose(agg, want, atol=1e-12)
+        vec = aggregate(None, weighted, np.full((2, 4), 0.25))
+        np.testing.assert_allclose(vec, weighted.mean(axis=1), atol=1e-12)
 
     def test_one_hot_weight_selects_node(self):
         rng = np.random.default_rng(6)
-        nodes = rng.standard_normal((4, 3, 3))
+        emb, weighted = factors(rng, 4, 3)
         alpha = np.array([0.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(aggregate(nodes, alpha), nodes[2], atol=1e-15)
+        np.testing.assert_allclose(
+            aggregate(emb, weighted, alpha), np.outer(emb[2], weighted[2]), atol=1e-15
+        )
+        np.testing.assert_allclose(aggregate(None, weighted, alpha), weighted[2], atol=1e-15)
 
     def test_backward_shapes_and_values(self):
         rng = np.random.default_rng(7)
-        nodes = rng.standard_normal((5, 2, 2))
-        alpha = normalize_attention(rng.standard_normal(5))
-        probe = rng.standard_normal((2, 2))
-        grad_nodes, grad_alpha = aggregate_backward(nodes, alpha, probe)
+        emb, weighted = factors(rng, 5, 2, batch=(3,))
+        alpha = normalize_attention(rng.standard_normal((3, 5)))
+        for left, probe in ((emb, rng.standard_normal((3, 2, 2))),
+                            (None, rng.standard_normal((3, 2)))):
+            grad_alpha, grad_left, grad_weighted = aggregate_backward(
+                left, weighted, alpha, probe
+            )
 
-        def scalar():
-            return float((aggregate(nodes, alpha) * probe).sum())
+            def scalar():
+                return float((aggregate(left, weighted, alpha) * probe).sum())
 
-        np.testing.assert_allclose(
-            grad_nodes, central_difference(scalar, nodes), atol=1e-8
-        )
-        np.testing.assert_allclose(
-            grad_alpha, central_difference(scalar, alpha), atol=1e-8
-        )
+            np.testing.assert_allclose(
+                grad_weighted, central_difference(scalar, weighted), atol=1e-8
+            )
+            np.testing.assert_allclose(
+                grad_alpha, central_difference(scalar, alpha), atol=1e-8
+            )
+            if left is None:
+                assert grad_left is None
+            else:
+                np.testing.assert_allclose(
+                    grad_left, central_difference(scalar, emb), atol=1e-8
+                )
 
 
-def attention_chain_backward(node_corr, params, grad_agg):
+def attention_chain_backward(emb, weighted, params, grad_agg):
     """Backward of scores -> softmax -> aggregation, composed as model.backward does."""
-    alpha = normalize_attention(attention_scores(node_corr, params))
-    grad_nodes_agg, grad_alpha = aggregate_backward(node_corr, alpha, grad_agg)
+    alpha = normalize_attention(attention_scores(emb, weighted, params))
+    grad_alpha, agg_left, agg_weighted = aggregate_backward(emb, weighted, alpha, grad_agg)
     grad_scores = softmax_grad(alpha, grad_alpha)
-    g_proj, g_vec, g_out, g_nodes = scores_backward(node_corr, params, grad_scores)
-    return g_proj, g_vec, g_out, g_nodes + grad_nodes_agg
+    g_proj, g_vec, g_out, g_left, g_weighted = scores_backward(
+        emb, weighted, params, grad_scores
+    )
+    g_left = None if emb is None else g_left + agg_left
+    return g_proj, g_vec, g_out, g_left, g_weighted + agg_weighted
 
 
 class TestBackward:
-    def _scalar_through_attention(self, node_corr, params, probe):
-        alpha = normalize_attention(attention_scores(node_corr, params))
-        return float((aggregate(node_corr, alpha) * probe).sum())
+    def _scalar_through_attention(self, emb, weighted, params, probe):
+        alpha = normalize_attention(attention_scores(emb, weighted, params))
+        return float((aggregate(emb, weighted, alpha) * probe).sum())
 
     def test_full_chain_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         views, width, classes, feat = 4, 3, 3, 5
         params = random_attention(rng, classes, width, feat)
-        node_corr = rng.standard_normal((views, width, width))
-        probe = rng.standard_normal((width, width))
+        emb, weighted = factors(rng, views, width, batch=(2,))
+        probe = rng.standard_normal((2, width, width))
 
-        g_proj, g_vec, g_out, g_nodes = attention_chain_backward(node_corr, params, probe)
+        g_proj, g_vec, g_out, g_emb, g_weighted = attention_chain_backward(
+            emb, weighted, params, probe
+        )
 
         def scalar():
-            return self._scalar_through_attention(node_corr, params, probe)
+            return self._scalar_through_attention(emb, weighted, params, probe)
 
-        np.testing.assert_allclose(g_nodes, central_difference(scalar, node_corr), atol=1e-7)
+        np.testing.assert_allclose(g_emb, central_difference(scalar, emb), atol=1e-7)
+        np.testing.assert_allclose(
+            g_weighted, central_difference(scalar, weighted), atol=1e-7
+        )
         np.testing.assert_allclose(
             g_proj, central_difference(scalar, params.node_proj), atol=1e-7
         )
@@ -168,17 +209,20 @@ class TestBackward:
     def test_scores_backward_composes_with_softmax_grad(self):
         rng = np.random.default_rng(9)
         params = random_attention(rng, 2, 3, 4)
-        node_corr = rng.standard_normal((5, 3, 3))
+        emb, weighted = factors(rng, 5, 3)
         probe = rng.standard_normal(5)
 
         def scalar():
-            alpha = normalize_attention(attention_scores(node_corr, params))
+            alpha = normalize_attention(attention_scores(emb, weighted, params))
             return float(np.dot(alpha, probe))
 
-        alpha = normalize_attention(attention_scores(node_corr, params))
+        alpha = normalize_attention(attention_scores(emb, weighted, params))
         grad_scores = softmax_grad(alpha, probe)
-        _, g_vec, _, g_nodes = scores_backward(node_corr, params, grad_scores)
-        np.testing.assert_allclose(g_nodes, central_difference(scalar, node_corr), atol=1e-7)
+        _, g_vec, _, g_emb, g_weighted = scores_backward(emb, weighted, params, grad_scores)
+        np.testing.assert_allclose(g_emb, central_difference(scalar, emb), atol=1e-7)
+        np.testing.assert_allclose(
+            g_weighted, central_difference(scalar, weighted), atol=1e-7
+        )
         np.testing.assert_allclose(
             g_vec, central_difference(scalar, params.node_vec), atol=1e-7
         )
@@ -186,20 +230,20 @@ class TestBackward:
     def test_vector_mode_backward(self):
         rng = np.random.default_rng(10)
         params = random_attention(rng, 3, 4, 5)
-        nodes = rng.standard_normal((6, 4))
-        probe = rng.standard_normal(4)
+        nodes = rng.standard_normal((2, 6, 4))
+        probe = rng.standard_normal((2, 4))
 
-        g_proj, g_vec, _, g_nodes = attention_chain_backward(nodes, params, probe)
+        g_proj, g_vec, _, g_emb, g_nodes = attention_chain_backward(None, nodes, params, probe)
 
         def scalar():
-            return self._scalar_through_attention(nodes, params, probe)
+            return self._scalar_through_attention(None, nodes, params, probe)
 
         np.testing.assert_allclose(g_nodes, central_difference(scalar, nodes), atol=1e-7)
         np.testing.assert_allclose(
             g_proj, central_difference(scalar, params.node_proj), atol=1e-7
         )
         # vector nodes skip the node_vec contraction, so it has no gradient
-        assert g_vec is None
+        assert g_vec is None and g_emb is None
 
 
 class TestInit:

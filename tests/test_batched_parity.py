@@ -1,0 +1,140 @@
+"""The batched, factored model against the dense per-shape reference.
+
+``forward`` and ``backward`` run a whole batch at once and never build the
+(V, N, N) node matrices. ``oracles.dense_forward``/``dense_backward`` are
+the model as first written, one shape at a time with every node matrix
+explicit. Traces must agree shape by shape, and the batch gradients must
+equal the per-shape gradients summed, to 1e-12 relative under the default
+config and every ablation flag.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+from oracles import dense_backward, dense_forward, dense_loss
+from viewgraph.cli import main as cli_main
+from viewgraph.dataio import Dataset, ShapeSample
+from viewgraph.geometry import build_view_graph
+from viewgraph.model import (
+    EVAL_CHUNK,
+    TrainConfig,
+    backward,
+    forward,
+    init_model,
+    predict_features,
+    sample_loss,
+)
+
+FLAGS = (
+    "no_spatiality",
+    "no_attention",
+    "no_attention_c",
+    "no_latent",
+    "no_correlation",
+    "mean_pool",
+    "max_pool",
+    "drop_eq10_second_term",
+)
+TOLERANCE = 1e-12
+TRACE_FIELDS = ("embeddings", "weighted_sums", "alpha", "agg", "global_feature",
+                "logits", "probs")
+
+
+def instance(size, flags=None, dims=None, seed=0):
+    """``size`` shapes, each on its own randomly oriented rig, and unit-scale params."""
+    dims = dims or dict(num_classes=4, input_dim=7, views=6, n_patterns=5, feature_dim=9)
+    config = TrainConfig(**dims, **(flags or {}))
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(size):
+        dirs = rng.standard_normal((config.views, 3))
+        samples.append(ShapeSample(
+            label=int(rng.integers(config.num_classes)),
+            features=rng.standard_normal((config.views, config.input_dim)).astype(np.float32),
+            graph=build_view_graph(dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                                   config.sigma),
+        ))
+    params = init_model(config, rng)
+    for _, arr in params.blocks():
+        arr[...] = rng.standard_normal(arr.shape)
+    return config, samples, params
+
+
+def relative_error(got, want):
+    """Max abs difference over the reference's max abs; absolute when that is 0."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0.0)
+    diff = np.abs(got - want).max(initial=0.0)
+    return diff / scale if scale > 0.0 else diff
+
+
+def assert_matches_dense(config, samples, params, single=False):
+    arg = samples[0] if single else samples
+    trace = forward(arg, params, config)
+    grads = vars(backward(trace, arg, params, config))
+    losses = np.atleast_1d(sample_loss(trace, arg))
+    dense = [dense_forward(s, params, config) for s in samples]
+    for name in TRACE_FIELDS:
+        got = getattr(trace, name)
+        if dense[0][name] is None:
+            assert got is None, name
+            continue
+        want = np.stack([d[name] for d in dense])
+        err = relative_error(got[None] if single else got, want)
+        assert err <= TOLERANCE, f"trace field {name}: relative error {err:.2e}"
+    want_losses = [dense_loss(d, s.label) for d, s in zip(dense, samples)]
+    assert relative_error(losses, want_losses) <= TOLERANCE
+    summed = {}
+    for d, s in zip(dense, samples):
+        for name, g in dense_backward(d, s, params, config).items():
+            summed[name] = summed.get(name, 0.0) + g
+    assert set(grads) == set(summed)
+    for name, g in grads.items():
+        err = relative_error(g, summed[name])
+        assert err <= TOLERANCE, f"gradient {name}: relative error {err:.2e}"
+
+
+@pytest.mark.parametrize("size", (1, 5, 16))
+@pytest.mark.parametrize("flag", (None,) + FLAGS)
+def test_batch_matches_dense_per_shape_oracle(flag, size):
+    config, samples, params = instance(size, {flag: True} if flag else {}, seed=size)
+    # B=1 goes through the single-sample view, which drops the batch axis
+    assert_matches_dense(config, samples, params, single=size == 1)
+
+
+def test_paper_point_batch_matches_dense_oracle():
+    dims = dict(num_classes=10, input_dim=64, views=20, n_patterns=128, feature_dim=256)
+    config, samples, params = instance(5, dims=dims, seed=3)
+    # unit-scale weights would saturate every sigmoid at K = N^2 = 16,384
+    params.cls.feat_weights[...] /= config.descriptor_dim
+    assert_matches_dense(config, samples, params)
+
+
+@pytest.mark.parametrize("flag", (None, "no_correlation", "max_pool"))
+def test_predict_features_matches_per_shape_forward(flag):
+    # more than two chunks, the last one partial
+    config, samples, params = instance(2 * EVAL_CHUNK + 7, {flag: True} if flag else {})
+    dataset = Dataset(samples=samples, class_names=[str(i) for i in range(4)])
+    got = predict_features(params, config, dataset)
+    want = np.stack([forward(s, params, config).global_feature for s in samples])
+    assert relative_error(got, want) <= TOLERANCE
+
+
+def test_sigma_zero_and_no_spatiality_give_the_same_checkpoint_bytes(tmp_path):
+    data = tmp_path / "train.3dvgd"
+    assert cli_main(["synth", "--out", str(data), "--classes", "3", "--per-class", "6",
+                     "--views", "8", "--input-dim", "10", "--seed", "2"]) == 0
+    base = ["train", "--data", str(data), "--n-patterns", "6", "--feature-dim", "8",
+            "--learning-rate", "0.05", "--epochs", "3", "--batch-size", "5",
+            "--seed", "4", "--plateau-patience", "0"]
+    payloads = []
+    for extra in (["--sigma", "0"], ["--no-spatiality"]):
+        out = tmp_path / f"m{len(payloads)}.3dvgm"
+        assert cli_main(base + ["--out", str(out)] + extra) == 0
+        blob = out.read_bytes()
+        (cfg_len,) = struct.unpack("<I", blob[10:14])
+        payloads.append(blob[14 + cfg_len:])
+    assert payloads[0] == payloads[1]

@@ -12,7 +12,6 @@ from viewgraph.classifier import (
     classify,
     global_feature,
     init_classifier,
-    one_hot,
 )
 from viewgraph.model import sample_loss
 from viewgraph.numeric import stable_softmax
@@ -37,27 +36,28 @@ class TestGlobalFeature:
     def test_bounded_by_sigmoid(self):
         rng = np.random.default_rng(0)
         params = random_classifier(rng, 3, 6, 4)
-        feat = global_feature(rng.standard_normal(4) * 10.0, params)
-        assert feat.shape == (6,)
+        feat = global_feature(rng.standard_normal((2, 4)) * 10.0, params)
+        assert feat.shape == (2, 6)
         assert np.all(feat > 0.0) and np.all(feat < 1.0)
 
     def test_matrix_input_flattens_row_major(self):
         rng = np.random.default_rng(1)
         params = random_classifier(rng, 2, 3, 6)
-        agg = rng.standard_normal((2, 3))
+        agg = rng.standard_normal((4, 2, 3))
         np.testing.assert_array_equal(
-            global_feature(agg, params), global_feature(agg.reshape(-1), params)
+            global_feature(agg, params), global_feature(agg.reshape(4, -1), params)
         )
         # row-major: the first row's entries occupy the first columns
-        manual = 1.0 / (
-            1.0 + np.exp(-(params.feat_weights @ agg.reshape(-1) + params.feat_bias))
-        )
-        np.testing.assert_allclose(global_feature(agg, params), manual, atol=1e-12)
+        for b in range(4):
+            manual = 1.0 / (
+                1.0 + np.exp(-(params.feat_weights @ agg[b].reshape(-1) + params.feat_bias))
+            )
+            np.testing.assert_allclose(global_feature(agg, params)[b], manual, atol=1e-12)
 
     def test_rejects_wrong_size(self):
         params = random_classifier(np.random.default_rng(2), 2, 3, 6)
         with pytest.raises(ValueError):
-            global_feature(np.zeros(5), params)
+            global_feature(np.zeros((2, 5)), params)
 
 
 class TestClassify:
@@ -102,11 +102,6 @@ class TestLoss:
             with pytest.raises(ValueError, match="out of range"):
                 loss_of([0.0, 1.0], label)
 
-    def test_one_hot(self):
-        np.testing.assert_array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            one_hot(4, 4)
-
 
 class TestBackward:
     def test_all_blocks_match_finite_differences(self):
@@ -116,17 +111,18 @@ class TestBackward:
             feat = int(rng.integers(2, 5))
             inp = int(rng.integers(2, 6))
             params = random_classifier(rng, classes, feat, inp)
-            agg = rng.standard_normal(inp)
-            label = int(rng.integers(classes))
+            # a batch of three: the parameter gradients are summed over it
+            agg = rng.standard_normal((3, inp))
+            labels = rng.integers(classes, size=3)
 
             def loss():
-                f = global_feature(agg, params)
-                return loss_of(classify(f, params), label)
+                logits = classify(global_feature(agg, params), params)
+                return sum(loss_of(z, label) for z, label in zip(logits, labels))
 
             feature = global_feature(agg, params)
             probs = stable_softmax(classify(feature, params))
             gfw, gfb, gcw, gcb, gagg = classifier_backward(
-                agg, feature, probs, label, params
+                agg, feature, probs, labels, params
             )
             np.testing.assert_allclose(
                 gfw, central_difference(loss, params.feat_weights), atol=1e-8
@@ -147,11 +143,13 @@ class TestBackward:
     def test_logit_gradient_is_probability_error(self):
         rng = np.random.default_rng(5)
         params = random_classifier(rng, 3, 4, 2)
-        agg = rng.standard_normal(2)
+        agg = rng.standard_normal((1, 2))
         feature = global_feature(agg, params)
         probs = stable_softmax(classify(feature, params))
-        _, _, _, gcb, _ = classifier_backward(agg, feature, probs, 1, params)
-        np.testing.assert_allclose(gcb, probs - one_hot(1, 3), atol=1e-15)
+        _, _, _, gcb, _ = classifier_backward(agg, feature, probs, [1], params)
+        np.testing.assert_allclose(gcb, probs[0] - [0.0, 1.0, 0.0], atol=1e-15)
+        with pytest.raises(ValueError, match="out of range"):
+            classifier_backward(agg, feature, probs, [3], params)
 
 
 class TestInit:

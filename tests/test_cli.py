@@ -3,6 +3,7 @@ import filecmp
 import hashlib
 import json
 import math
+import platform
 import struct
 
 import numpy as np
@@ -99,6 +100,18 @@ class TestTrainCommand:
         assert payload["config"]["n_patterns"] == 4
         assert str(model) in payload["outputs"]
         assert str(log_file) in payload["outputs"]
+
+    def test_manifest_records_software_and_peak_memory(self, tmp_path):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        manifest = tmp_path / "train.json"
+        train_model(data, tmp_path / "m.3dvgm", "--manifest", str(manifest))
+        payload = json.loads(manifest.read_text())
+        assert payload["python"] == platform.python_version()
+        assert payload["numpy"] == np.__version__
+        assert isinstance(payload["blas"], str) and payload["blas"]
+        # None outside a git checkout
+        assert payload["git_describe"] is None or isinstance(payload["git_describe"], str)
+        assert payload["peak_rss_mb"] > 0.0
 
     def test_same_seed_reproduces_checkpoint_bytes(self, tmp_path):
         data = make_dataset(tmp_path / "d.3dvgd")

@@ -98,6 +98,13 @@ class TestCumulativeCorrelation:
         np.testing.assert_allclose(cums[0], np.outer(emb[0], emb[0]), atol=1e-15)
 
 
+def factor_gradients(emb, weighted, probe):
+    """The gradients a dense upstream probe on outer(d_j, w_j) sends to each factor."""
+    grad_emb = np.einsum("jnm,jm->jn", probe, weighted)
+    grad_weighted = np.einsum("jnm,jn->jm", probe, emb)
+    return grad_emb, grad_weighted
+
+
 class TestCorrelationBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -113,9 +120,17 @@ class TestCorrelationBackward:
                 return float((cums * probe).sum())
 
             _, weighted = all_cumulative_correlations(emb, graph.similarity)
-            grad = all_correlation_backward(emb, graph.similarity, weighted, probe)
+            grad = all_correlation_backward(
+                graph.similarity, *factor_gradients(emb, weighted, probe)
+            )
             np.testing.assert_allclose(
                 grad, central_difference(scalar, emb), atol=1e-8
+            )
+            # vector nodes: only the weighted sums carry a gradient
+            np.testing.assert_allclose(
+                all_correlation_backward(graph.similarity, None, probe[:, 0]),
+                graph.similarity.T @ probe[:, 0],
+                atol=1e-15,
             )
 
     def test_single_view_closed_form(self):
@@ -125,7 +140,9 @@ class TestCorrelationBackward:
         emb = rng.uniform(0.1, 1.0, size=(1, 4))
         probe = rng.standard_normal((1, 4, 4))
         _, weighted = all_cumulative_correlations(emb, graph.similarity)
-        grad = all_correlation_backward(emb, graph.similarity, weighted, probe)
+        grad = all_correlation_backward(
+            graph.similarity, *factor_gradients(emb, weighted, probe)
+        )
         want = (probe[0] + probe[0].T) @ emb[0]
         np.testing.assert_allclose(grad[0], want, atol=1e-12)
 

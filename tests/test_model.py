@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import viewgraph.model as vgm
+from oracles import dense_backward, dense_forward
 from viewgraph.dataio import ShapeSample
 from viewgraph.errors import DataIOError, FormatError
 from viewgraph.geometry import build_view_graph, default_viewpoints
@@ -91,13 +92,17 @@ class TestForward:
         cfg, sample, params = make_instance()
         trace = forward(sample, params, cfg)
         assert trace.embeddings.shape == (4, 4)
-        assert trace.node_corr.shape == (4, 4, 4)
+        assert trace.weighted_sums.shape == (4, 4)
         assert trace.alpha.shape == (4,)
         assert trace.agg.shape == (4, 4)
         assert trace.global_feature.shape == (6,)
         assert trace.probs.shape == (3,)
         for simplex in (trace.embeddings.sum(axis=1), [trace.alpha.sum()], [trace.probs.sum()]):
             np.testing.assert_allclose(simplex, 1.0, atol=1e-9)
+        # a sequence of samples keeps the batch axis
+        batch = forward([sample] * 3, params, cfg)
+        for name, value in vars(trace).items():
+            assert getattr(batch, name).shape == (3,) + value.shape, name
 
     @pytest.mark.parametrize("flag", ALL_FLAGS)
     def test_every_flag_runs_and_classifies(self, flag):
@@ -112,7 +117,6 @@ class TestForward:
         cfg, sample, params = make_instance(no_attention=True)
         trace = forward(sample, params, cfg)
         np.testing.assert_array_equal(trace.alpha, np.full(4, 0.25))
-        assert trace.scores is None
 
     def test_no_attention_c_gives_uniform_weights(self):
         # scores blind to the node descriptors are equal for every view
@@ -156,15 +160,21 @@ class TestForward:
         np.testing.assert_allclose(
             trace.agg, trace.embeddings.mean(axis=0), atol=1e-15
         )
-        assert trace.node_corr is None and trace.alpha is None
+        assert trace.weighted_sums is None and trace.alpha is None
 
     def test_max_pool_records_argmax(self):
+        # the backward routes each pattern's gradient to its argmax view, as
+        # the dense reference does from the argmax it records
         cfg, sample, params = make_instance(max_pool=True)
         trace = forward(sample, params, cfg)
-        np.testing.assert_allclose(trace.agg, trace.embeddings.max(axis=0), atol=1e-15)
+        np.testing.assert_array_equal(trace.agg, trace.embeddings.max(axis=0))
+        dense = dense_forward(sample, params, cfg)
         np.testing.assert_array_equal(
-            trace.pool_argmax, trace.embeddings.argmax(axis=0)
+            dense["pool_argmax"], trace.embeddings.argmax(axis=0)
         )
+        want = dense_backward(dense, sample, params, cfg)
+        for name, grad in vars(backward(trace, sample, params, cfg)).items():
+            np.testing.assert_allclose(grad, want[name], rtol=1e-12, atol=1e-15)
 
     def test_no_latent_uses_raw_features(self):
         cfg, sample, params = make_instance(no_latent=True)
