@@ -4,7 +4,7 @@ Retrieval works on Euclidean distances between global feature vectors. A
 ranked list per query is produced once and every metric is computed from
 it, so precision/recall/F1 at a cutoff, average precision, NDCG, and the
 interpolated precision-recall curve all agree on ordering and tie handling:
-equal distances rank by ascending gallery index (stable sort).
+equal distances rank by ascending gallery index.
 
 All multi-term accumulations inside the metrics use ``math.fsum``, which is
 exactly rounded and therefore independent of summation order. A reference
@@ -119,27 +119,110 @@ def distance_matrix(
     raise ValueError(f"metric must be one of {DISTANCES}, got {metric!r}")
 
 
+# Rounding-bound factor for ranking. Row i's approximate scores s_ij get
+# the bound b_i = c*gamma_K*(|q_i|^2 + max_j |g_j|^2) (Euclidean) or
+# c*gamma_K (cosine), with gamma_K = K*u/(1 - K*u), K the feature dim and
+# u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1).
+# Any summation order, blocked or fused, keeps a K-term dot product within
+# gamma_K*sum|q_k g_k| <= gamma_K*N/2 of its value, N = |q|^2 + |g|^2, so:
+# - Euclidean: s = N - 2 q.g from the GEMM is within (2*gamma_K + 3u)*N of
+#   |q - g|^2; distance_matrix's sum((g - q)**2) is within
+#   2*(gamma_K + 3u)*N of it; and two exact sums round to the same sqrt only
+#   within 4u*|q - g|^2 <= 8u*N of each other. With u <= gamma_K that is
+#   <= 21*gamma_K*N. Underflowed products add at most K*2^-1075 each, which
+#   the bound's N + tiny covers (2^-1074 = 2u*tiny).
+# - Cosine: the two dot products differ by <= 2*gamma_K*|q||g|, and both
+#   paths' norm products are within 2*gamma_K + 3u of |q||g|; with the
+#   division and 1 - sim roundings the scores are within 12*gamma_K of the
+#   exact distance, for norms^2 in [tiny, 1/tiny] (otherwise the bound is
+#   infinite; zero norms give exactly 1 on both paths).
+# c = 32 leaves room for the second-order terms. Two entries of a row whose
+# scores differ by more than 2*b_i then have strictly ordered exact distances;
+# one width per row lets sorted neighbours alone decide where runs split.
+_BOUND_C = 32.0
+_TINY = np.finfo(np.float64).tiny
+
+
+def _approximate(queries, gallery, gallery_sq, metric):
+    """Approximate distance scores of a block of queries against the gallery,
+    from one GEMM, and each query row's rounding bound (see ``_BOUND_C``)."""
+    dim = gallery.shape[1]
+    bound = _BOUND_C * dim * 2.0**-53 / (1.0 - dim * 2.0**-53)
+    query_sq = np.einsum("ij,ij->i", queries, queries)
+    dots = queries @ gallery.T
+    if metric == "euclidean":
+        norms = query_sq[:, None] + gallery_sq
+        dots *= -2.0
+        dots += norms
+        return dots, bound * (query_sq + (gallery_sq.max() + _TINY))
+    denom = np.sqrt(query_sq)[:, None] * np.sqrt(gallery_sq)
+    sim = np.where(denom > 0.0, dots / np.where(denom > 0.0, denom, 1.0), 0.0)
+
+    def unsafe(sq):
+        return (sq != 0.0) & ~((sq >= _TINY) & (sq <= 1.0 / _TINY))
+
+    return 1.0 - sim, np.where(unsafe(query_sq) | unsafe(gallery_sq).any(), np.inf, bound)
+
+
+def _repair(order, scores, bound, queries, gallery, metric):
+    """Put each row of ``order`` (argsorted approximate scores) into exact
+    (distance, index) order, in place.
+
+    A row splits into runs wherever neighbouring scores differ by more than
+    twice its bound; only runs of two or more can be out of order, and
+    their exact distances come from ``distance_matrix``. A row with a
+    non-finite score is one run.
+    """
+    s = scores[np.arange(len(order))[:, None], order]
+    cut = s[:, 1:] - s[:, :-1] > 2.0 * bound[:, None]
+    # Sorted rows hold -inf first and NaN or +inf last.
+    cut &= np.isfinite(s[:, -1:] - s[:, :1])
+    if cut.all():
+        return
+    edges = np.ones((len(order), order.shape[1] + 1), dtype=bool)
+    edges[:, 1:-1] = cut
+    alone = edges[:, :-1] & edges[:, 1:]
+    for row in np.flatnonzero(~alone.all(axis=1)):
+        pos = np.flatnonzero(~alone[row])
+        idx = order[row, pos]
+        exact = distance_matrix(queries[row:row + 1], gallery[idx], metric)[0]
+        runs = np.cumsum(edges[row, :-1])[pos]
+        order[row, pos] = idx[np.lexsort((idx, exact, runs))]
+
+
 def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
     """Ranked gallery indices per query, plus the relevance of each position.
 
     Returns ``(ranked, relevant)``: ranked is (queries, list length) int64,
-    nearest first; relevant is the matching bool array. List length is the
-    gallery size, minus one under ``exclude_self``. Metrics read the
-    ranking through ``run.ranking``, which computes it once per run.
+    nearest first, with equal exact distances in ascending gallery index;
+    relevant is the matching bool array. List length is the gallery size,
+    minus one under ``exclude_self``. Metrics read the ranking through
+    ``run.ranking``, which computes it once per run.
+
+    The order is the one ``distance_matrix`` gives, computed from one GEMM
+    per block of queries and repaired exactly where rounding could swap two
+    entries (``_repair``).
     """
-    width = run.gallery_features.shape[0] - run.exclude_self
+    gallery = run.gallery_features
+    width = gallery.shape[0] - run.exclude_self
     ranked = np.empty((run.num_queries, width), dtype=np.int64)
     relevant = np.empty((run.num_queries, width), dtype=bool)
-    # Blocks of queries: only one block's distance rows exist at a time.
-    for lo in range(0, run.num_queries, EVAL_CHUNK):
-        block = slice(lo, lo + EVAL_CHUNK)
-        order = np.argsort(distance_matrix(run.query_features[block], run.gallery_features,
-                                           run.distance), axis=1, kind="stable")
-        if run.exclude_self:
-            # A stable order of the other items does not depend on the one removed.
-            order = order[order != np.arange(lo, lo + len(order))[:, None]].reshape(len(order), -1)
-        ranked[block] = order
-        relevant[block] = run.gallery_labels[order] == run.query_labels[block, None]
+    # Non-finite features are ranked by the exact path; their warnings are noise.
+    with np.errstate(invalid="ignore", over="ignore"):
+        gallery_sq = np.einsum("ij,ij->i", gallery, gallery)
+        # Blocks of queries: only one block's score rows exist at a time.
+        for lo in range(0, run.num_queries, EVAL_CHUNK):
+            block = slice(lo, lo + EVAL_CHUNK)
+            queries = run.query_features[block]
+            scores, bound = _approximate(queries, gallery, gallery_sq, run.distance)
+            order = np.argsort(scores, axis=1)
+            _repair(order, scores, bound, queries, gallery, run.distance)
+            if run.exclude_self:
+                # An exact order of the other items does not depend on the one removed.
+                order = order[order != np.arange(lo, lo + len(order))[:, None]].reshape(
+                    len(order), -1)
+            ranked[block] = order
+            relevant[block] = run.gallery_labels[order] == run.query_labels[block, None]
     return ranked, relevant
 
 
@@ -167,9 +250,15 @@ def mean_average_precision(run: RetrievalRun) -> float:
 
 
 @lru_cache(maxsize=None)
+def _discounts(length: int) -> np.ndarray:
+    """``1/log2(pos + 1)`` for positions 1..length."""
+    return np.array([1.0 / math.log2(pos + 1) for pos in range(1, length + 1)])
+
+
+@lru_cache(maxsize=None)
 def _ideal_dcg(depth: int) -> float:
     """DCG of a list whose first ``depth`` items are all relevant."""
-    return math.fsum(1.0 / math.log2(pos + 1) for pos in range(1, depth + 1))
+    return math.fsum(_discounts(depth))
 
 
 def ndcg_at(relevant_row, k: int) -> float:
@@ -179,11 +268,8 @@ def ndcg_at(relevant_row, k: int) -> float:
     total = int(np.count_nonzero(relevant_row))
     if total == 0:
         return 0.0
-    dcg = math.fsum(
-        1.0 / math.log2(pos + 1)
-        for pos, rel in enumerate(relevant_row[:k], start=1)
-        if rel
-    )
+    hits = np.flatnonzero(relevant_row[:k])
+    dcg = math.fsum(_discounts(min(k, len(relevant_row)))[hits])
     return dcg / _ideal_dcg(min(total, k))
 
 

@@ -124,8 +124,8 @@ def naive_ranked_lists(
 ):
     """Ranked gallery indices and relevance flags, computed pair by pair.
 
-    Ties break toward the lower gallery index. Cosine treats a zero-norm
-    vector as maximally distant.
+    Ties break toward the lower gallery index, and NaN distances rank last.
+    Cosine treats a zero-norm vector as maximally distant.
     """
     ranked_all, rel_all = [], []
     for qi in range(len(query_features)):
@@ -145,7 +145,7 @@ def naive_ranked_lists(
                 sim = float(np.sum(g * q)) / denom if denom > 0.0 else 0.0
                 d = 1.0 - sim
             pairs.append((d, j))
-        pairs.sort(key=lambda t: (t[0], t[1]))
+        pairs.sort(key=lambda t: (math.isnan(t[0]), 0.0 if math.isnan(t[0]) else t[0], t[1]))
         ranked_all.append([j for _, j in pairs])
         rel_all.append(
             [bool(gallery_labels[j] == query_labels[qi]) for j in ranked_all[-1]]

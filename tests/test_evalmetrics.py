@@ -150,6 +150,10 @@ class TestDistanceMatrix:
             distance_matrix(x, x, metric="manhattan")
 
 
+ADVERSARIAL = ("duplicates", "near_ties", "scale_1e-8", "scale_1", "scale_1e8",
+               "non_finite", "zero_vectors", "overflow")
+
+
 class TestRankGallery:
     def test_orders_nearest_first(self):
         run = RetrievalRun(
@@ -197,6 +201,50 @@ class TestRankGallery:
             )
             assert ranked.tolist() == want_ranked
             assert relevant.tolist() == want_rel
+
+    @staticmethod
+    def adversarial_features(case):
+        """Items that tie or nearly tie in distance, so that the ranking's
+        approximate scores cannot order them and the exact repair must."""
+        rng = np.random.default_rng(ADVERSARIAL.index(case))
+        feats = rng.standard_normal((6, 8))[rng.integers(6, size=40)]  # duplicates
+        if case == "near_ties" or case.startswith("scale_"):
+            feats += rng.integers(-1, 2, size=feats.shape) * np.spacing(feats)
+        if case.startswith("scale_"):
+            feats *= float(case[len("scale_"):])
+        if case == "non_finite":
+            feats[3, 1] = np.nan
+            feats[17, 0] = np.inf
+            feats[29, 5] = -np.inf
+        if case == "zero_vectors":
+            feats[[2, 9, 30]] = 0.0
+        if case == "overflow":
+            # |g|^2 overflows for 1.35e154, its distance to 0.3e154 does not,
+            # and is below that of -0.8e154, whose score stays finite.
+            feats = np.array([0.3, 1.35, -0.8, 0.5, 1.35, 0.3] * 3)[:, None] * 1e154
+        return feats
+
+    @pytest.mark.parametrize("metric", DISTANCES)
+    @pytest.mark.parametrize("case", ADVERSARIAL)
+    def test_adversarial_matches_pairwise_oracle(self, case, metric):
+        feats = self.adversarial_features(case)
+        labels = np.arange(len(feats)) % 3
+
+        def check(queries, exclude_self):
+            run = RetrievalRun(feats[queries], labels[queries], feats, labels,
+                               exclude_self=exclude_self, distance=metric)
+            ranked, relevant = rank_gallery(run)
+            want_ranked, want_rel = naive_ranked_lists(
+                feats[queries], labels[queries], feats, labels,
+                exclude_self=exclude_self, metric=metric)
+            assert ranked.tolist() == want_ranked
+            assert relevant.tolist() == want_rel
+
+        every = np.arange(len(feats))
+        check(every, False)
+        check(every, True)
+        for qi in (0, 3, 17):
+            check(np.array([qi]), False)
 
 
 class TestAveragePrecision:
