@@ -10,10 +10,11 @@ function takes the factors ``E`` and ``W`` (..., V, N), with any leading
 batch axes, so no (V, N, N) node tensor is built.
 
 The score has no term shared across nodes: a shared term, such as the
-classifier weights' context ``(cls_weights @ ctx_vec + bias) @ out``,
-shifts every score alike, which softmax ignores, so it could change neither
-the weights nor any gradient and is not computed. ``ctx_vec`` and ``bias``
-stay in :class:`AttentionParams` (and the checkpoint layout) unused.
+classifier weights' context ``(cls_weights @ ctx_vec + bias) @ out`` of
+the paper's score, shifts every score alike, which softmax ignores, so it
+could change neither the weights nor any gradient. It has no parameters
+here, and checkpoint version 1's ``attn_ctx_vec`` and ``attn_bias`` blocks
+are read and dropped.
 """
 
 from dataclasses import dataclass
@@ -31,32 +32,22 @@ class AttentionParams:
         node_proj: (L, N) projection applied to each node matrix from the left.
         node_vec: (N,) vector applied from the right (unused when nodes are
             vector-valued, as in the correlation-free ablation).
-        ctx_vec: (F,) unused: a context term shared by all nodes.
-        bias: (L,) unused: a class-space bias shared by all nodes.
         out: (L,) final linear reduction to a scalar score.
     """
 
     node_proj: np.ndarray
     node_vec: np.ndarray
-    ctx_vec: np.ndarray
-    bias: np.ndarray
     out: np.ndarray
 
     def __post_init__(self):
-        for name in ("node_proj", "node_vec", "ctx_vec", "bias", "out"):
+        for name in ("node_proj", "node_vec", "out"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         num_classes, num_patterns = self.node_proj.shape
         if self.node_vec.shape != (num_patterns,):
             raise ValueError(f"node_vec shape {self.node_vec.shape} != ({num_patterns},)")
-        for name in ("bias", "out"):
-            if getattr(self, name).shape != (num_classes,):
-                raise ValueError(
-                    f"{name} shape {getattr(self, name).shape} != ({num_classes},)"
-                )
-        if not all(
-            np.isfinite(getattr(self, n)).all()
-            for n in ("node_proj", "node_vec", "ctx_vec", "bias", "out")
-        ):
+        if self.out.shape != (num_classes,):
+            raise ValueError(f"out shape {self.out.shape} != ({num_classes},)")
+        if not all(np.isfinite(a).all() for a in (self.node_proj, self.node_vec, self.out)):
             raise ValueError("attention parameters must be finite")
 
 
@@ -66,19 +57,19 @@ def init_attention(
     feature_dim: int,
     rng: np.random.Generator,
 ) -> AttentionParams:
-    """Seeded init: all weights ~ N(0, 0.01) std, zero bias.
+    """Seeded init: all weights ~ N(0, 0.01) std.
 
     Small weights keep the initial scores near zero so attention starts
     close to uniform instead of saturating on one view.
     """
     scale = 0.01
-    return AttentionParams(
-        node_proj=rng.normal(0.0, scale, size=(num_classes, num_patterns)),
-        node_vec=rng.normal(0.0, scale, size=num_patterns),
-        ctx_vec=rng.normal(0.0, scale, size=feature_dim),
-        bias=np.zeros(num_classes),
-        out=rng.normal(0.0, scale, size=num_classes),
-    )
+    node_proj = rng.normal(0.0, scale, size=(num_classes, num_patterns))
+    node_vec = rng.normal(0.0, scale, size=num_patterns)
+    # the retired context vector's F draws, discarded, keep ``out`` and every
+    # later block bit-identical to checkpoint version 1
+    rng.normal(0.0, scale, size=feature_dim)
+    out = rng.normal(0.0, scale, size=num_classes)
+    return AttentionParams(node_proj=node_proj, node_vec=node_vec, out=out)
 
 
 def _collapse(embeddings, weighted: np.ndarray, params: AttentionParams) -> np.ndarray:

@@ -112,9 +112,6 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                        help="weight all view pairs equally")
     flags.add_argument("--no-attention", action="store_true",
                        help="replace attention with uniform weights")
-    flags.add_argument("--no-attention-c", action="store_true",
-                       help="blind the attention scores to the node descriptors "
-                            "(every view then scores alike: uniform weights)")
     flags.add_argument("--no-latent", action="store_true",
                        help="skip the latent embedding, use raw features")
     flags.add_argument("--no-correlation", action="store_true",
@@ -150,7 +147,6 @@ def _config_from_args(args, num_classes: int, views: int, input_dim: int) -> Tra
         seed=args.seed,
         no_spatiality=args.no_spatiality,
         no_attention=args.no_attention,
-        no_attention_c=args.no_attention_c,
         no_latent=args.no_latent,
         no_correlation=args.no_correlation,
         mean_pool=args.mean_pool,

@@ -11,21 +11,19 @@ batch axis.
 
 Ablation flags substitute stages rather than branching the math:
 ``no_spatiality`` feeds an all-ones similarity matrix, ``no_attention``
-fixes uniform weights, as does ``no_attention_c`` (scores blind to the
-node descriptors give every view the same score), ``no_latent`` uses
-raw features as embeddings (the pattern count then equals the input
-dimension), ``no_correlation`` keeps the spatially weighted sums as
-per-node vectors instead of outer-product matrices, and ``mean_pool`` /
-``max_pool`` bypass the graph entirely and pool embeddings straight into
-the global-feature layer. The backward pass always differentiates the
-computation that actually ran, so finite differences agree under every
-flag combination.
+fixes uniform weights, ``no_latent`` uses raw features as embeddings (the
+pattern count then equals the input dimension), ``no_correlation`` keeps
+the spatially weighted sums as per-node vectors instead of outer-product
+matrices, and ``mean_pool`` / ``max_pool`` bypass the graph entirely and
+pool embeddings straight into the global-feature layer. The backward pass
+always differentiates the computation that actually ran, so finite
+differences agree under every flag combination.
 """
 
 import io
 import json
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from types import SimpleNamespace
 from typing import Optional
 
@@ -56,7 +54,7 @@ from .numeric import softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
 
 CHECKPOINT_MAGIC = b"3DVG-M"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -65,9 +63,10 @@ class TrainConfig:
 
     Defaults follow the reference operating point: learning rate 0.009,
     spatial decay sigma 10, 128 latent patterns, 256-dim global feature,
-    20 views. ``drop_eq10_second_term`` is an exact no-op: the attention
-    route of the classifier-weight gradient (the second term of eq. 10) goes
-    through a score term shared by all views, which softmax cancels.
+    20 views. ``drop_eq10_second_term`` is accepted and ignored, never
+    stored: the attention route of the classifier-weight gradient (the
+    second term of eq. 10) goes through a score term shared by all views,
+    which softmax cancels, so there is nothing to drop.
     """
 
     num_classes: int
@@ -82,15 +81,14 @@ class TrainConfig:
     seed: int = 0
     no_spatiality: bool = False
     no_attention: bool = False
-    no_attention_c: bool = False
     no_latent: bool = False
     no_correlation: bool = False
     mean_pool: bool = False
     max_pool: bool = False
-    drop_eq10_second_term: bool = False
+    drop_eq10_second_term: InitVar[bool] = False
     plateau_patience: int = 5
 
-    def __post_init__(self):
+    def __post_init__(self, _drop_eq10_second_term):
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         for name in ("input_dim", "views", "feature_dim", "batch_size"):
@@ -171,8 +169,6 @@ BLOCKS = (
     ("attn_node_proj", "attn", "node_proj",
      lambda c: (c.num_classes, c.effective_patterns)),
     ("attn_node_vec", "attn", "node_vec", lambda c: (c.effective_patterns,)),
-    ("attn_ctx_vec", "attn", "ctx_vec", lambda c: (c.feature_dim,)),
-    ("attn_bias", "attn", "bias", lambda c: (c.num_classes,)),
     ("attn_out", "attn", "out", lambda c: (c.num_classes,)),
     ("feat_weights", "cls", "feat_weights", lambda c: (c.feature_dim, c.descriptor_dim)),
     ("feat_bias", "cls", "feat_bias", lambda c: (c.feature_dim,)),
@@ -282,9 +278,9 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     """Run the pipeline on a sequence of shapes, or one sample (the B=1 view).
 
     The flags pick each stage once per batch: identity embed (no_latent),
-    all-ones similarity (no_spatiality), uniform weights (no_attention,
-    no_attention_c), vector aggregate (no_correlation) or a pooled
-    descriptor (mean_pool, max_pool).
+    all-ones similarity (no_spatiality), uniform weights (no_attention),
+    vector aggregate (no_correlation) or a pooled descriptor (mean_pool,
+    max_pool).
     """
     validate_params(params, config)
     feats, sim, _, single = _inputs(samples, config)
@@ -303,7 +299,7 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     else:
         weighted = sim @ emb
         left = None if config.no_correlation else emb
-        if config.no_attention or config.no_attention_c:
+        if config.no_attention:
             alpha = np.full((size, views), 1.0 / views)
         else:
             alpha = normalize_attention(attention_scores(left, weighted, params.attn))
@@ -319,13 +315,11 @@ def backward(trace: ForwardTrace, samples, params: ModelParams, config: TrainCon
     """Gradients of the -log P[label] summed over the batch, one attribute per block.
 
     ``trace`` and ``samples`` are as ``forward`` gave and took them. Only
-    the blocks that can move the loss are present. Absent are
-    ``attn_ctx_vec`` and ``attn_bias`` always (the scores do not use them),
-    ``latent_*`` under ``no_latent``, every ``attn_*`` block under
-    ``no_attention``, ``no_attention_c`` and the pooled modes, and
-    ``attn_node_vec`` under ``no_correlation``. The classifier weight matrix
-    gets the classification-route gradient only; see ``TrainConfig`` on
-    ``drop_eq10_second_term``.
+    the blocks that can move the loss are present. Absent are ``latent_*``
+    under ``no_latent``, every ``attn_*`` block under ``no_attention`` and
+    the pooled modes, and ``attn_node_vec`` under ``no_correlation``. The
+    classifier weight matrix gets the classification-route gradient only;
+    see ``TrainConfig`` on ``drop_eq10_second_term``.
     """
     validate_params(params, config)
     feats, sim, labels, single = _inputs(samples, config)
@@ -351,7 +345,7 @@ def backward(trace: ForwardTrace, samples, params: ModelParams, config: TrainCon
         grad_alpha, grad_left, grad_weighted = aggregate_backward(
             left, weighted, trace.alpha, grad_agg
         )
-        if not (config.no_attention or config.no_attention_c):
+        if not config.no_attention:
             g_proj, g_vec, g_out, g_left, g_weighted = scores_backward(
                 left, weighted, params.attn, softmax_grad(trace.alpha, grad_alpha)
             )
@@ -401,14 +395,18 @@ def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.nd
 # magic (6 bytes) | version u32 LE | config-JSON length u32 LE | config JSON
 # (UTF-8, sorted keys) | parameter payload: each block in the order of the
 # BLOCKS table as little-endian float64, row-major. Block shapes are derived
-# from the config, so the payload length is checked exactly.
+# from the config, so the payload length is checked exactly. Version 1 held
+# two more blocks after attn_node_vec, attn_ctx_vec (F) and attn_bias (L),
+# which no computation reads; they are read and dropped.
 
 # JSON types a checkpoint's config value may have, by TrainConfig field type.
 _CONFIG_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
 
 # Fields that older checkpoints carry but TrainConfig no longer has. They are
-# type-checked like the others and then dropped, so those checkpoints load.
-_RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float, "no_attention_wf": bool}
+# type-checked like the others and then dropped, so those checkpoints load;
+# ``no_attention_c`` gave uniform weights and loads as ``no_attention``.
+_RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float, "no_attention_wf": bool,
+                   "no_attention_c": bool, "drop_eq10_second_term": bool}
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
@@ -449,7 +447,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     if len(data) < 10 or data[:6] != CHECKPOINT_MAGIC:
         raise FormatError("not a model checkpoint (bad magic)")
     (version,) = struct.unpack_from("<I", data, 6)
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(f"unsupported checkpoint version {version}")
     if len(data) < 14:
         raise DataIOError("checkpoint truncated in header")
@@ -464,12 +462,16 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
     if not isinstance(cfg_dict, dict) or set(cfg_dict) - set(_RETIRED_FIELDS) != known:
         raise FormatError("checkpoint config block has wrong fields")
     _check_config_types(cfg_dict)
+    cfg_dict["no_attention"] |= cfg_dict.get("no_attention_c", False)
     try:
         config = TrainConfig(**{name: cfg_dict[name] for name in known})
     except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid checkpoint config: {exc}") from exc
 
     shapes = block_shapes(config)
+    if version == 1:  # attn_ctx_vec and attn_bias, just before attn_out
+        retired = ("retired", (config.feature_dim + config.num_classes,))
+        shapes.insert(BLOCK_NAMES.index("attn_out"), retired)
     offset = 14 + cfg_len
     expected = sum(int(np.prod(s)) for _, s in shapes) * 8
     if len(data) - offset != expected:
@@ -487,5 +489,7 @@ def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
             .astype(np.float64)
         )
         offset += count * 8
-    params = ModelParams.from_blocks(arrays)
-    return params, config
+    try:
+        return ModelParams.from_blocks(arrays), config
+    except ValueError as exc:  # the stage groups reject non-finite parameters
+        raise FormatError(f"invalid checkpoint parameters: {exc}") from exc

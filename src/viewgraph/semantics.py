@@ -110,12 +110,7 @@ def embed_backward(
         )
     output = embed(features, params)
     grad_logits = softmax_grad(output, grad_embedding, axis=-1)
-    if features.ndim == 1:
-        grad_features = grad_logits @ params.filters
-        grad_filters = np.outer(grad_logits, features)
-        grad_offsets = grad_logits.copy()
-    else:
-        grad_features = grad_logits @ params.filters
-        grad_filters = grad_logits.T @ features
-        grad_offsets = grad_logits.sum(axis=0)
-    return grad_features, grad_filters, grad_offsets
+    # as rows: a single vector is one row, a K=1 product and a one-row sum
+    rows = grad_logits.reshape(-1, params.num_patterns)
+    grad_filters = rows.T @ features.reshape(-1, params.input_dim)
+    return grad_logits @ params.filters, grad_filters, rows.sum(axis=0)

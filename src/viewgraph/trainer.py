@@ -155,11 +155,11 @@ def train(
 
 # Denominator floor for the per-block relative error. Central differences at
 # h = 1e-5 on an O(1) loss carry ~1e-11 of roundoff noise; blocks whose true
-# gradient is exactly zero (the ones ``backward`` leaves out, such as
-# ``attn_ctx_vec`` and ``attn_bias``, which the scores do not use) would
-# divide that noise by itself. The floor maps such noise to ~1e-7 while an
-# actual gradient bug, which shows up at absolute size >= 1e-9, still
-# exceeds any reasonable tolerance.
+# gradient is exactly zero (the ones ``backward`` leaves out, such as the
+# ``attn_*`` blocks under ``no_attention``) would divide that noise by
+# itself. The floor maps such noise to ~1e-7 while an actual gradient bug,
+# which shows up at absolute size >= 1e-9, still exceeds any reasonable
+# tolerance.
 GRAD_CHECK_FLOOR = 1e-4
 
 

@@ -253,7 +253,7 @@ def dense_forward(sample, params, config):
         else:
             node = np.array([np.outer(emb[j], weighted[j]) for j in range(views)])
             collapsed = np.array([node[j] @ p["attn_node_vec"] for j in range(views)])
-        if config.no_attention or config.no_attention_c:
+        if config.no_attention:
             alpha = np.full(views, 1.0 / views)
         else:
             scores = np.array([p["attn_out"] @ (p["attn_node_proj"] @ c) for c in collapsed])

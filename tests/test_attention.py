@@ -17,12 +17,10 @@ from viewgraph.attention import (
 from viewgraph.numeric import softmax_grad
 
 
-def random_attention(rng, classes, width, feat):
+def random_attention(rng, classes, width):
     return AttentionParams(
         node_proj=rng.standard_normal((classes, width)),
         node_vec=rng.standard_normal(width),
-        ctx_vec=rng.standard_normal(feat),
-        bias=rng.standard_normal(classes),
         out=rng.standard_normal(classes),
     )
 
@@ -41,8 +39,8 @@ def node_matrices(emb, weighted):
 class TestScores:
     def test_matches_explicit_loop(self):
         rng = np.random.default_rng(0)
-        views, width, classes, feat = 5, 4, 3, 6
-        params = random_attention(rng, classes, width, feat)
+        views, width, classes = 5, 4, 3
+        params = random_attention(rng, classes, width)
         emb, weighted = factors(rng, views, width, batch=(2,))
         scores = attention_scores(emb, weighted, params)
         assert scores.shape == (2, views)
@@ -55,7 +53,7 @@ class TestScores:
     def test_vector_node_input(self):
         # vector descriptors skip the node_vec contraction
         rng = np.random.default_rng(1)
-        params = random_attention(rng, 3, 4, 6)
+        params = random_attention(rng, 3, 4)
         nodes = rng.standard_normal((5, 4))
         scores = attention_scores(None, nodes, params)
         for j in range(5):
@@ -63,28 +61,21 @@ class TestScores:
             assert scores[j] == pytest.approx(float(params.out @ proj), rel=1e-12)
 
     def test_shared_context_term_cannot_move_the_softmax(self):
-        """A term shared by every node shifts all scores alike, which the
-        softmax ignores, so the scores leave out ctx_vec and bias."""
+        """The paper's context term ``(cls_weights @ ctx_vec + bias) @ out``
+        is shared by every node and shifts all scores alike, which the
+        softmax ignores, so the scores have no ctx_vec or bias."""
         rng = np.random.default_rng(2)
-        params = random_attention(rng, 3, 4, 6)
+        params = random_attention(rng, 3, 4)
         emb, weighted = factors(rng, 5, 4)
         scores = attention_scores(emb, weighted, params)
         alpha = normalize_attention(scores)
-        cls_w = rng.standard_normal((3, 6))
-        shift = float((cls_w @ params.ctx_vec + params.bias) @ params.out)
+        cls_w, ctx_vec, bias = (rng.standard_normal(s) for s in ((3, 6), 6, 3))
+        shift = float((cls_w @ ctx_vec + bias) @ params.out)
         np.testing.assert_allclose(normalize_attention(scores + shift), alpha, atol=1e-12)
-        shifted = AttentionParams(
-            node_proj=params.node_proj,
-            node_vec=params.node_vec,
-            ctx_vec=params.ctx_vec + 3.7,
-            bias=params.bias - 1.2,
-            out=params.out,
-        )
-        np.testing.assert_array_equal(attention_scores(emb, weighted, shifted), scores)
 
     def test_projections_shape(self):
         rng = np.random.default_rng(3)
-        params = random_attention(rng, 2, 3, 4)
+        params = random_attention(rng, 2, 3)
         emb, weighted = factors(rng, 6, 3, batch=(4,))
         proj = _node_term(emb, weighted, params)
         assert proj.shape == (4, 6, 2)
@@ -179,8 +170,8 @@ class TestBackward:
 
     def test_full_chain_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        views, width, classes, feat = 4, 3, 3, 5
-        params = random_attention(rng, classes, width, feat)
+        views, width, classes = 4, 3, 3
+        params = random_attention(rng, classes, width)
         emb, weighted = factors(rng, views, width, batch=(2,))
         probe = rng.standard_normal((2, width, width))
 
@@ -202,13 +193,10 @@ class TestBackward:
             g_vec, central_difference(scalar, params.node_vec), atol=1e-7
         )
         np.testing.assert_allclose(g_out, central_difference(scalar, params.out), atol=1e-7)
-        # shared-term parameters take no part in the scores at all
-        np.testing.assert_array_equal(central_difference(scalar, params.ctx_vec), 0.0)
-        np.testing.assert_array_equal(central_difference(scalar, params.bias), 0.0)
 
     def test_scores_backward_composes_with_softmax_grad(self):
         rng = np.random.default_rng(9)
-        params = random_attention(rng, 2, 3, 4)
+        params = random_attention(rng, 2, 3)
         emb, weighted = factors(rng, 5, 3)
         probe = rng.standard_normal(5)
 
@@ -229,7 +217,7 @@ class TestBackward:
 
     def test_vector_mode_backward(self):
         rng = np.random.default_rng(10)
-        params = random_attention(rng, 3, 4, 5)
+        params = random_attention(rng, 3, 4)
         nodes = rng.standard_normal((2, 6, 4))
         probe = rng.standard_normal((2, 4))
 
@@ -252,18 +240,25 @@ class TestInit:
         b = init_attention(3, 7, 9, np.random.default_rng(11))
         assert a.node_proj.shape == (3, 7)
         assert a.node_vec.shape == (7,)
-        assert a.ctx_vec.shape == (9,)
-        assert a.bias.shape == (3,)
         assert a.out.shape == (3,)
+        assert set(vars(a)) == {"node_proj", "node_vec", "out"}
         for x, y in zip(vars(a).values(), vars(b).values()):
             np.testing.assert_array_equal(x, y)
+
+    def test_retired_context_draws_are_still_taken(self):
+        # node_proj, node_vec, then the F draws of the retired ctx_vec, then
+        # out: the draw order checkpoint version 1 initialised from
+        params = init_attention(3, 7, 9, np.random.default_rng(11))
+        draws = np.random.default_rng(11).normal(0.0, 0.01, size=3 * 7 + 7 + 9 + 3)
+        np.testing.assert_array_equal(params.node_vec, draws[21:28])
+        np.testing.assert_array_equal(params.out, draws[-3:])
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AttentionParams(
                 node_proj=np.zeros((3, 4)),
                 node_vec=np.zeros(5),  # width mismatch
-                ctx_vec=np.zeros(2),
-                bias=np.zeros(3),
                 out=np.zeros(3),
             )
+        with pytest.raises(ValueError, match="out shape"):
+            AttentionParams(node_proj=np.zeros((3, 4)), node_vec=np.zeros(4), out=np.zeros(2))

@@ -30,7 +30,6 @@ from viewgraph.model import (
 FLAGS = (
     "no_spatiality",
     "no_attention",
-    "no_attention_c",
     "no_latent",
     "no_correlation",
     "mean_pool",

@@ -11,7 +11,7 @@ import pytest
 
 from viewgraph import dataio, evalmetrics
 from viewgraph.cli import main
-from viewgraph.model import load_checkpoint
+from viewgraph.model import BLOCK_NAMES, load_checkpoint
 
 
 def make_dataset(path, classes=2, per_class=4, views=4, input_dim=6, seed=5,
@@ -145,13 +145,20 @@ class TestTrainCommand:
             train_model(data, tmp_path / "m.3dvgm", "--threads", "2")
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flag", ["--no-attention-wf", "--drop-eq10-second-term"])
+    @pytest.mark.parametrize("flag", ["--no-attention-wf", "--drop-eq10-second-term",
+                                      "--no-attention-c"])
     def test_no_op_flags_are_gone(self, tmp_path, flag):
-        # both only touched a score term shared by all views, which softmax
-        # cancels, so they could change nothing
+        # all three only touched a score term shared by all views, which
+        # softmax cancels: the first two could change nothing, and
+        # --no-attention-c was --no-attention under another name
         data = make_dataset(tmp_path / "d.3dvgd")
         with pytest.raises(SystemExit) as excinfo:
             train_model(data, tmp_path / "m.3dvgm", flag)
+        assert excinfo.value.code == 2
+
+    def test_gradcheck_no_attention_c_is_gone(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gradcheck", "--no-attention-c"])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("flag", ["--sigma", "--learning-rate"])
@@ -306,7 +313,7 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "max relative error" in out
         # one line per parameter block plus the summary line
-        assert len(out.strip().splitlines()) == 12
+        assert len(out.strip().splitlines()) == len(BLOCK_NAMES) + 1 == 10
 
     def test_fails_at_unreachable_tolerance(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--tol", "1e-18"]) == 1

@@ -1,15 +1,17 @@
 """The composed network: forward traces, ablation flags, checkpoints."""
 
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import viewgraph.model as vgm
 from oracles import dense_backward, dense_forward
-from viewgraph.dataio import ShapeSample
-from viewgraph.errors import DataIOError, FormatError
+from viewgraph.dataio import ShapeSample, generate_synthetic
+from viewgraph.errors import DataIOError, FormatError, ViewGraphError
 from viewgraph.geometry import build_view_graph, default_viewpoints
 from viewgraph.model import (
     BLOCK_NAMES,
@@ -26,7 +28,6 @@ from viewgraph.model import (
 ALL_FLAGS = (
     "no_spatiality",
     "no_attention",
-    "no_attention_c",
     "no_latent",
     "no_correlation",
     "mean_pool",
@@ -118,13 +119,17 @@ class TestForward:
         trace = forward(sample, params, cfg)
         np.testing.assert_array_equal(trace.alpha, np.full(4, 0.25))
 
-    def test_no_attention_c_gives_uniform_weights(self):
-        # scores blind to the node descriptors are equal for every view
-        cfg, sample, params = make_instance(views=6, no_attention_c=True)
-        trace = forward(sample, params, cfg)
+    def test_no_attention_c_gives_uniform_weights(self, tmp_path):
+        # scores blind to the node descriptors are equal for every view, so a
+        # checkpoint with the retired ``no_attention_c`` set loads as no_attention
+        cfg, sample, params = make_instance(views=6)
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), "no_attention_c": True})
+        loaded_params, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == dataclasses.replace(cfg, no_attention=True)
+        trace = forward(sample, loaded_params, loaded_cfg)
         np.testing.assert_array_equal(trace.alpha, np.full(6, 1.0 / 6.0))
-        uniform = TrainConfig(**{**vars(cfg), "no_attention_c": False, "no_attention": True})
-        np.testing.assert_array_equal(trace.probs, forward(sample, params, uniform).probs)
 
     def test_probs_are_the_softmax_of_the_logits(self):
         cfg, sample, params = make_instance()
@@ -242,9 +247,11 @@ class TestForward:
 class TestBackwardRoutes:
     def test_dropping_second_route_changes_nothing(self):
         # the attention route ran through a score term shared by all views,
-        # which softmax cancels, so there is no second route to drop
+        # which softmax cancels, so there is no second route to drop: the
+        # keyword is accepted and leaves the config as it was
         cfg, sample, params = make_instance()
-        cfg_drop = TrainConfig(**{**vars(cfg), "drop_eq10_second_term": True})
+        cfg_drop = dataclasses.replace(cfg, drop_eq10_second_term=True)
+        assert cfg_drop == cfg and "drop_eq10_second_term" not in vars(cfg_drop)
         trace = forward(sample, params, cfg)
         g_full = backward(trace, sample, params, cfg)
         g_drop = backward(trace, sample, params, cfg_drop)
@@ -253,13 +260,12 @@ class TestBackwardRoutes:
             np.testing.assert_array_equal(arr, getattr(g_drop, name))
 
     def test_gradient_zero_for_shared_context_blocks(self):
-        # absent: the scores do not use them, and train and grad_check read
-        # an absent block as a zero gradient
+        # the scores have no shared context term, so its two blocks are gone
         cfg, sample, params = make_instance()
         trace = forward(sample, params, cfg)
         grads = backward(trace, sample, params, cfg)
-        assert not hasattr(grads, "attn_ctx_vec")
-        assert not hasattr(grads, "attn_bias")
+        for name in ("attn_ctx_vec", "attn_bias"):
+            assert not hasattr(grads, name) and name not in BLOCK_NAMES
 
 
 class TestBackwardBlocks:
@@ -268,8 +274,8 @@ class TestBackwardBlocks:
         # Unused blocks are absent, which train and grad_check read as zero.
         cfg, sample, params = make_instance(**({flag: True} if flag else {}))
         grads = backward(forward(sample, params, cfg), sample, params, cfg)
-        unused = {"attn_ctx_vec", "attn_bias"}
-        if cfg.pooled_mode or cfg.no_attention or cfg.no_attention_c:
+        unused = set()
+        if cfg.pooled_mode or cfg.no_attention:
             unused |= {n for n in BLOCK_NAMES if n.startswith("attn_")}
         if cfg.no_correlation:
             unused.add("attn_node_vec")
@@ -371,7 +377,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize(
         "field,value",
         [("n_patterns", 4.0), ("threads", 2.0), ("no_latent", "no"),
-         ("batch_size", True), ("sigma", False), ("no_attention_wf", 1)],
+         ("batch_size", True), ("sigma", False), ("no_attention_wf", 1),
+         ("no_attention_c", 0), ("drop_eq10_second_term", "yes")],
     )
     def test_config_value_type_tampering(self, tmp_path, field, value):
         cfg, _, params = make_instance()
@@ -386,7 +393,9 @@ class TestCheckpoint:
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
         blob = read_config(path)
-        assert not {"threads", "plateau_rel_tol", "no_attention_wf"} & set(blob)
+        assert not set(vgm._RETIRED_FIELDS) & set(blob)
+        assert {"threads", "plateau_rel_tol", "no_attention_wf", "no_attention_c",
+                "drop_eq10_second_term"} <= set(vgm._RETIRED_FIELDS)
 
     def test_retired_fields_still_load(self, tmp_path):
         # the layout written before ``threads``, ``plateau_rel_tol`` and
@@ -395,12 +404,12 @@ class TestCheckpoint:
         cfg, _, params = make_instance()
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
-        retired = {"threads": 1, "plateau_rel_tol": 1e-05, "no_attention_wf": True}
+        retired = {"threads": 1, "plateau_rel_tol": 1e-05, "no_attention_wf": True,
+                   "no_attention_c": False, "drop_eq10_second_term": True}
         write_config(path, {**read_config(path), **retired})
         loaded_params, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
-        for name in retired:
-            assert not hasattr(loaded_cfg, name)
+        assert not set(retired) & set(vars(loaded_cfg))
         for name, arr in params.blocks():
             np.testing.assert_array_equal(arr, loaded_params.block(name))
 
@@ -421,6 +430,16 @@ class TestCheckpoint:
         _, loaded = load_checkpoint(path)
         assert loaded.sigma == 10
 
+    @pytest.mark.parametrize("name", ["latent_offsets", "attn_out"])
+    def test_non_finite_block_is_a_format_error(self, tmp_path, name):
+        # the latent and attention groups reject non-finite values
+        cfg, _, params = make_instance()
+        params.block(name)[0] = np.inf
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(FormatError, match="must be finite"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIOError):
             load_checkpoint(tmp_path / "absent")
@@ -432,6 +451,130 @@ class TestCheckpoint:
         loaded_params, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg.mean_pool
         validate_params(loaded_params, loaded_cfg)
+
+
+DATA = Path(__file__).parent / "data"
+
+# The reference task the version-1 fixtures were trained on: ``viewgraph synth
+# --classes 3 --per-class 8 --views 12 --input-dim 32 --seed 5``, then
+# ``viewgraph train --n-patterns 8 --feature-dim 16 --learning-rate 0.02
+# --epochs 4 --batch-size 5 --seed 1 --plateau-patience 0``, the second file
+# with ``--no-attention-c``.
+V1_CONFIG = TrainConfig(
+    num_classes=3, input_dim=32, views=12, n_patterns=8, feature_dim=16,
+    learning_rate=0.02, epochs=4, batch_size=5, seed=1, plateau_patience=0,
+)
+V1_FIXTURES = {"v1-default.3dvgm": V1_CONFIG,
+               "v1-no-attention-c.3dvgm": dataclasses.replace(V1_CONFIG, no_attention=True)}
+
+
+def v1_payload_slices(path, config):
+    """{block name: raw bytes} of a version-1 file, laid out independently of
+    the loader: the two retired blocks sat between attn_node_vec and attn_out."""
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", data, 10)
+    shapes = dict(vgm.block_shapes(config))
+    shapes.update(attn_ctx_vec=(config.feature_dim,), attn_bias=(config.num_classes,))
+    order = ("latent_filters", "latent_offsets", "attn_node_proj", "attn_node_vec",
+             "attn_ctx_vec", "attn_bias", "attn_out", "feat_weights", "feat_bias",
+             "cls_weights", "cls_bias")
+    offset, slices = 14 + cfg_len, {}
+    for name in order:
+        size = int(np.prod(shapes[name])) * 8
+        slices[name] = data[offset : offset + size]
+        offset += size
+    assert offset == len(data)
+    return slices
+
+
+class TestCheckpointV1:
+    @pytest.mark.parametrize("fixture", sorted(V1_FIXTURES))
+    def test_blocks_are_the_payload_slices(self, fixture):
+        path = DATA / fixture
+        assert struct.unpack_from("<I", path.read_bytes(), 6) == (1,)
+        params, config = load_checkpoint(path)
+        slices = v1_payload_slices(path, config)
+        assert tuple(name for name, _ in params.blocks()) == BLOCK_NAMES
+        for name, arr in params.blocks():
+            assert arr.astype("<f8").tobytes() == slices[name], name
+
+    @pytest.mark.parametrize("fixture", sorted(V1_FIXTURES))
+    def test_config_maps_without_retired_keys(self, fixture):
+        path = DATA / fixture
+        stored = read_config(path)
+        assert {"no_attention_c", "drop_eq10_second_term"} <= set(stored)
+        assert stored["no_attention"] is False
+        _, config = load_checkpoint(path)
+        assert config == V1_FIXTURES[fixture]
+        assert not set(vgm._RETIRED_FIELDS) & set(vars(config))
+        assert not set(vgm._RETIRED_FIELDS) & set(dataclasses.asdict(config))
+
+    @pytest.mark.parametrize("fixture", sorted(V1_FIXTURES))
+    def test_forward_survives_a_v2_round_trip(self, fixture, tmp_path):
+        params, config = load_checkpoint(DATA / fixture)
+        dataset = generate_synthetic(3, 8, 12, 32, noise=0.1, seed=5)
+        path = tmp_path / "v2.3dvgm"
+        save_checkpoint(path, params, config)
+        data = path.read_bytes()
+        assert struct.unpack_from("<I", data, 6) == (vgm.CHECKPOINT_VERSION,) == (2,)
+        # the version-2 payload is version 1's without the two retired blocks
+        slices = v1_payload_slices(DATA / fixture, config)
+        assert data.endswith(b"".join(slices[name] for name in BLOCK_NAMES))
+        again, again_cfg = load_checkpoint(path)
+        assert again_cfg == config
+        before = forward(dataset.samples, params, config)
+        after = forward(dataset.samples, again, again_cfg)
+        for name, value in vars(before).items():
+            np.testing.assert_array_equal(getattr(after, name), value, err_msg=name)
+
+
+def corrupt(base, rng, mode):
+    """Acceptance 9's five corruption modes: truncate, flip bytes, append,
+    replace with noise, overwrite four bytes. The noise here is one byte per
+    draw (``bytes()`` of an int64 array would give eight, seven of them zero)."""
+
+    def noise(size):
+        return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+
+    blob = bytearray(base)
+    if mode == 0:
+        blob = blob[: int(rng.integers(0, len(blob)))]
+    elif mode == 1:
+        for _ in range(int(rng.integers(1, 9))):
+            pos = int(rng.integers(len(blob)))
+            blob[pos] ^= int(rng.integers(1, 256))
+    elif mode == 2:
+        blob += noise(int(rng.integers(1, 65)))
+    elif mode == 3:
+        blob = bytearray(noise(int(rng.integers(0, 201))))
+    else:
+        pos = int(rng.integers(max(1, len(blob) - 4)))
+        blob[pos : pos + 4] = noise(4)
+    return bytes(blob)
+
+
+class TestCheckpointFuzz:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_corrupted_file_loads_or_raises_typed_error(self, tmp_path, version):
+        source = DATA / "v1-default.3dvgm"
+        if version == 2:
+            source = tmp_path / "v2.3dvgm"
+            save_checkpoint(source, *load_checkpoint(DATA / "v1-default.3dvgm"))
+        base = source.read_bytes()
+        target = tmp_path / "fuzzed.3dvgm"
+        rng = np.random.default_rng(version)
+        typed = 0
+        cases = 500
+        for case in range(cases):
+            target.write_bytes(corrupt(base, rng, case % 5))
+            try:
+                load_checkpoint(target)
+            except ViewGraphError:
+                typed += 1
+            except Exception as exc:  # noqa: BLE001 - any other type is the failure
+                pytest.fail(f"v{version} case {case} escaped with {type(exc).__name__}: {exc}")
+        # truncation, appended bytes and noise files are rejected every time
+        assert typed >= 3 * cases // 5
 
 
 class TestInitModel:

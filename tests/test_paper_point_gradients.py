@@ -21,7 +21,6 @@ from viewgraph.trainer import GRAD_CHECK_FLOOR
 FLAGS = (
     "no_spatiality",
     "no_attention",
-    "no_attention_c",
     "no_latent",
     "no_correlation",
     "mean_pool",
@@ -57,7 +56,7 @@ def paper_point_instance(flags, batch=None):
     attn = params.attn
     for arr in (attn.node_proj, attn.node_vec, attn.out):
         arr[...] = rng.standard_normal(arr.shape)
-    if not (config.pooled_mode or config.no_attention or config.no_attention_c):
+    if not (config.pooled_mode or config.no_attention):
         trace = forward(samples, params, config)
         left = None if config.no_correlation else trace.embeddings
         attn.out /= attention_scores(left, trace.weighted_sums, attn).std()

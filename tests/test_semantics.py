@@ -116,9 +116,9 @@ class TestEmbedBackward:
         probe = rng.standard_normal(4)
         gf1, gw1, gb1 = embed_backward(f, params, probe)
         gf2, gw2, gb2 = embed_backward(f[None, :], params, probe[None, :])
-        np.testing.assert_allclose(gf1, gf2[0], atol=1e-15)
-        np.testing.assert_allclose(gw1, gw2, atol=1e-15)
-        np.testing.assert_allclose(gb1, gb2, atol=1e-15)
+        np.testing.assert_array_equal(gf1, gf2[0])
+        np.testing.assert_array_equal(gw1, gw2)
+        np.testing.assert_array_equal(gb1, gb2)
 
     def test_constant_upstream_gradient_vanishes(self):
         # shifting all logits equally cannot change a softmax, so a constant

@@ -153,8 +153,7 @@ class TestGradCheck:
         sample, params, cfg = self._instance()
 
         def corrupt(grads):
-            # attn_ctx_vec and attn_bias are absent: give them a wrong gradient
-            wrong = getattr(grads, name, 0.0) + np.ones(params.block(name).shape)
+            wrong = getattr(grads, name) + np.ones(params.block(name).shape)
             setattr(grads, name, wrong)
 
         report = grad_check(sample, params, cfg, grad_hook=corrupt)
