@@ -29,7 +29,8 @@ class ClassifierParams:
     cls_bias: np.ndarray
 
     def __post_init__(self):
-        for name in ("feat_weights", "feat_bias", "cls_weights", "cls_bias"):
+        blocks = ("feat_weights", "feat_bias", "cls_weights", "cls_bias")
+        for name in blocks:
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         feature_dim = self.feat_weights.shape[0]
         num_classes = self.cls_weights.shape[0]
@@ -42,6 +43,8 @@ class ClassifierParams:
             )
         if self.cls_bias.shape != (num_classes,):
             raise ValueError(f"cls_bias shape {self.cls_bias.shape} != ({num_classes},)")
+        if not all(np.isfinite(getattr(self, name)).all() for name in blocks):
+            raise ValueError("classifier parameters must be finite")
 
     @property
     def feature_dim(self) -> int:

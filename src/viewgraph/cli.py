@@ -23,6 +23,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -101,12 +102,12 @@ def _write_manifest(path, command: str, config, inputs: dict, outputs: list, sec
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("model")
-    group.add_argument("--n-patterns", type=int, default=128,
-                       help="latent pattern count (default 128)")
-    group.add_argument("--feature-dim", type=int, default=256,
-                       help="global feature width (default 256)")
-    group.add_argument("--sigma", type=float, default=10.0,
-                       help="spatial decay of the view graph (default 10)")
+    group.add_argument("--n-patterns", type=int, default=TrainConfig.n_patterns,
+                       help="latent pattern count (default %(default)s)")
+    group.add_argument("--feature-dim", type=int, default=TrainConfig.feature_dim,
+                       help="global feature width (default %(default)s)")
+    group.add_argument("--sigma", type=float, default=TrainConfig.sigma,
+                       help="spatial decay of the view graph (default %(default)s)")
     flags = parser.add_argument_group("ablations")
     flags.add_argument("--no-spatiality", action="store_true",
                        help="weight all view pairs equally")
@@ -124,35 +125,20 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_optim_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("optimization")
-    group.add_argument("--learning-rate", type=float, default=0.009,
-                       help="SGD step size (default 0.009)")
-    group.add_argument("--epochs", type=int, default=100)
-    group.add_argument("--batch-size", type=int, default=16)
-    group.add_argument("--seed", type=int, default=0)
-    group.add_argument("--plateau-patience", type=int, default=5,
+    group.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
+                       help="SGD step size (default %(default)s)")
+    group.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    group.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    group.add_argument("--seed", type=int, default=TrainConfig.seed)
+    group.add_argument("--plateau-patience", type=int, default=TrainConfig.plateau_patience,
                        help="epochs without loss improvement before stopping; 0 disables")
 
 
-def _config_from_args(args, num_classes: int, views: int, input_dim: int) -> TrainConfig:
-    return TrainConfig(
-        num_classes=num_classes,
-        input_dim=input_dim,
-        views=views,
-        n_patterns=args.n_patterns,
-        feature_dim=args.feature_dim,
-        sigma=args.sigma,
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        no_spatiality=args.no_spatiality,
-        no_attention=args.no_attention,
-        no_latent=args.no_latent,
-        no_correlation=args.no_correlation,
-        mean_pool=args.mean_pool,
-        max_pool=args.max_pool,
-        plateau_patience=args.plateau_patience,
-    )
+def _config_from_args(args, **dims) -> TrainConfig:
+    """Every TrainConfig field the command has an option for, plus ``dims``."""
+    options = {f.name: getattr(args, f.name)
+               for f in fields(TrainConfig) if hasattr(args, f.name)}
+    return TrainConfig(**{**options, **dims})
 
 
 def _cmd_synth(args) -> int:
@@ -183,9 +169,8 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     started = time.perf_counter()
     dataset = dataio.load(args.data, sigma=args.sigma)
-    config = _config_from_args(
-        args, dataset.num_classes, dataset.views, dataset.feature_dim
-    )
+    config = _config_from_args(args, num_classes=dataset.num_classes,
+                               views=dataset.views, input_dim=dataset.feature_dim)
     resume = None
     if args.resume:
         resume, resume_cfg = load_checkpoint(args.resume)
@@ -316,7 +301,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0.0 < args.tol < np.inf:
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    config = _config_from_args(args, args.classes, args.views, args.input_dim)
+    config = _config_from_args(args, num_classes=args.classes)
     rng = np.random.default_rng(args.seed)
     from .geometry import build_view_graph, default_viewpoints
     from .model import init_model
@@ -412,8 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input-dim", type=int, default=5)
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
+    p.add_argument("--seed", type=int, default=0, help="seed of the random instance")
     _add_model_args(p)
-    _add_optim_args(p)
     # Small dims by default: the check walks every parameter entry.
     p.set_defaults(func=_cmd_gradcheck, n_patterns=4, feature_dim=6)
 

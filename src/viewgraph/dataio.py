@@ -79,20 +79,6 @@ class Dataset:
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=np.int64)
 
-    def with_sigma(self, sigma: float) -> "Dataset":
-        """Same data with view graphs rebuilt at a different decay parameter.
-
-        Shapes sharing a directions array keep sharing one rebuilt graph.
-        """
-        cache: dict[int, ViewGraph] = {}
-        samples = []
-        for s in self.samples:
-            key = id(s.graph)
-            if key not in cache:
-                cache[key] = build_view_graph(s.graph.directions, sigma)
-            samples.append(ShapeSample(s.label, s.features, cache[key]))
-        return Dataset(samples=samples, class_names=list(self.class_names), split=self.split)
-
 
 def validate_dataset(dataset: Dataset) -> None:
     """Check the cross-sample invariants; raises FormatError/ValidationError."""

@@ -43,8 +43,7 @@ DISTANCES = ("euclidean", "cosine")
 @dataclass
 class RetrievalRun:
     """Queries against a gallery; when a query is its own gallery entry,
-    ``exclude_self`` drops that entry from its ranked list. ``tag`` is a
-    free-form range label (e.g. "test-test") carried into reports."""
+    ``exclude_self`` drops that entry from its ranked list."""
 
     query_features: np.ndarray
     query_labels: np.ndarray
@@ -52,7 +51,6 @@ class RetrievalRun:
     gallery_labels: np.ndarray
     exclude_self: bool = False
     distance: str = "euclidean"
-    tag: str = ""
 
     def __post_init__(self):
         self.query_features = np.asarray(self.query_features, dtype=np.float64)

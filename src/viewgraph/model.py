@@ -48,7 +48,7 @@ from .classifier import (
 # The dense all_cumulative_correlations is not called here; perfbench/spans.py
 # traces the correlation stage under this name.
 from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
-from .dataio import write_atomic
+from .dataio import DEFAULT_SIGMA, write_atomic
 from .errors import DataIOError, FormatError
 from .numeric import softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
@@ -74,7 +74,7 @@ class TrainConfig:
     views: int = 20
     n_patterns: int = 128
     feature_dim: int = 256
-    sigma: float = 10.0
+    sigma: float = DEFAULT_SIGMA
     learning_rate: float = 0.009
     epochs: int = 100
     batch_size: int = 16
@@ -244,6 +244,14 @@ def chunks(samples):
         yield samples[lo : lo + EVAL_CHUNK]
 
 
+def check_sigma(graph, config: TrainConfig) -> None:
+    """Reject a graph built at another sigma, unless similarities go unread."""
+    if not (config.pooled_mode or config.no_spatiality) and graph.sigma != config.sigma:
+        raise ValueError(f"sample graph built with sigma={graph.sigma}, config has sigma="
+                         f"{config.sigma}; rebuild the graphs at the config's sigma with "
+                         f"dataio.load(path, sigma=...) or generate_synthetic(..., sigma=...)")
+
+
 def _inputs(samples, config: TrainConfig):
     """Check every sample once. Returns ``(features, similarity, labels,
     single)``: (B, V, D) float64 features, (B, V, V) similarities (all ones
@@ -254,18 +262,15 @@ def _inputs(samples, config: TrainConfig):
     batch = [samples] if single else list(samples)
     if not batch:
         raise ValueError("empty batch")
-    graphed = not config.pooled_mode
     for s in batch:
         if np.shape(s.features) != (config.views, config.input_dim):
             raise ValueError(f"sample features are {np.shape(s.features)}, config "
                              f"expects ({config.views}, {config.input_dim}) (V, D)")
         if s.graph.num_views != config.views:
             raise ValueError("sample graph and features disagree on the view count")
-        if graphed and not config.no_spatiality and s.graph.sigma != config.sigma:
-            raise ValueError(f"sample graph built with sigma={s.graph.sigma}, config has "
-                             f"sigma={config.sigma}; rebuild the graphs")
+        check_sigma(s.graph, config)
     feats = np.array([s.features for s in batch], dtype=np.float64)
-    if not graphed:
+    if config.pooled_mode:
         sim = None
     elif config.no_spatiality:
         sim = np.ones((len(batch), config.views, config.views))

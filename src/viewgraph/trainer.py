@@ -16,6 +16,7 @@ from .model import (
     ModelParams,
     TrainConfig,
     backward,
+    check_sigma,
     forward,
     init_model,
     sample_loss,
@@ -48,7 +49,7 @@ class TrainResult:
         return len(self.history)
 
 
-def _check_compat(dataset: Dataset, config: TrainConfig) -> Dataset:
+def _check_compat(dataset: Dataset, config: TrainConfig) -> None:
     if dataset.num_samples == 0:
         raise ValueError("cannot train on an empty dataset")
     if dataset.num_classes != config.num_classes:
@@ -61,10 +62,8 @@ def _check_compat(dataset: Dataset, config: TrainConfig) -> Dataset:
             f"dataset is {dataset.views} views x {dataset.feature_dim} dims, config "
             f"expects {config.views} x {config.input_dim}"
         )
-    if not config.no_spatiality and not config.pooled_mode:
-        if any(s.graph.sigma != config.sigma for s in dataset.samples):
-            dataset = dataset.with_sigma(config.sigma)
-    return dataset
+    for s in dataset.samples:
+        check_sigma(s.graph, config)
 
 
 def train(
@@ -84,7 +83,7 @@ def train(
     Raises RuntimeError if the loss, a forward stage or any parameter goes
     non-finite.
     """
-    dataset = _check_compat(dataset, config)
+    _check_compat(dataset, config)
     if params is None:
         params = init_model(config, np.random.default_rng([config.seed, 0]))
     else:

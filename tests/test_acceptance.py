@@ -349,6 +349,9 @@ class TestAcceptance:
         target = tmp_path / "fuzzed.3dvgd"
         rng = np.random.default_rng(5)
 
+        def noise(size: int) -> bytes:
+            return rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
+
         loaded_ok = 0
         typed_errors = 0
         for case in range(1000):
@@ -361,14 +364,13 @@ class TestAcceptance:
                     pos = int(rng.integers(len(blob)))
                     blob[pos] ^= int(rng.integers(1, 256))
             elif mode == 2:
-                blob += bytes(rng.integers(0, 256, size=int(rng.integers(1, 65))))
+                blob += noise(int(rng.integers(1, 65)))
             elif mode == 3:
-                blob = bytearray(
-                    bytes(rng.integers(0, 256, size=int(rng.integers(0, 201))))
-                )
+                blob = bytearray(noise(int(rng.integers(0, 201))))
             else:
                 pos = int(rng.integers(max(1, len(blob) - 4)))
-                blob[pos : pos + 4] = bytes(rng.integers(0, 256, size=4))
+                blob[pos : pos + 4] = noise(4)
+                assert len(blob) == len(base)
             target.write_bytes(bytes(blob))
             try:
                 dataio.load(target)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 from viewgraph import dataio, evalmetrics
-from viewgraph.cli import main
-from viewgraph.model import BLOCK_NAMES, load_checkpoint
+from viewgraph.cli import build_parser, main
+from viewgraph.model import BLOCK_NAMES, TrainConfig, load_checkpoint
 
 
 def make_dataset(path, classes=2, per_class=4, views=4, input_dim=6, seed=5,
@@ -138,6 +139,32 @@ class TestTrainCommand:
         model = train_model(data, tmp_path / "m.3dvgm", "--mean-pool")
         _, config = load_checkpoint(model)
         assert config.mean_pool
+
+    @pytest.mark.parametrize("pool", ["mean_pool", "max_pool"])
+    def test_every_option_reaches_the_checkpoint_config(self, tmp_path, pool):
+        # mean_pool and max_pool exclude each other, so each run sets one
+        data = make_dataset(tmp_path / "d.3dvgd")
+        model = tmp_path / "m.3dvgm"
+        options = dict(n_patterns=3, feature_dim=5, sigma=2.5, learning_rate=0.01,
+                       epochs=2, batch_size=3, seed=7, plateau_patience=4)
+        flags = ["no_spatiality", "no_attention", "no_latent", "no_correlation", pool]
+        argv = ["train", "--data", str(data), "--out", str(model)]
+        for name, value in options.items():
+            argv += ["--" + name.replace("_", "-"), str(value)]
+        argv += ["--" + name.replace("_", "-") for name in flags]
+        assert main(argv) == 0
+        _, config = load_checkpoint(model)
+        dims = dict(num_classes=2, views=4, input_dim=6)
+        want = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert dataclasses.asdict(config) == {**want, **dims, **options,
+                                              **dict.fromkeys(flags, True)}
+
+    def test_option_defaults_are_the_config_defaults(self):
+        args = vars(build_parser().parse_args(["train", "--data", "d", "--out", "m"]))
+        defaults = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+                    if f.name not in ("num_classes", "views", "input_dim")}
+        assert len(defaults) == 14
+        assert {name: args[name] for name in defaults} == defaults
 
     def test_threads_flag_is_gone(self, tmp_path):
         data = make_dataset(tmp_path / "d.3dvgd")
@@ -318,6 +345,15 @@ class TestGradcheckCommand:
     def test_fails_at_unreachable_tolerance(self, capsys):
         assert main(["gradcheck", "--seed", "0", "--tol", "1e-18"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("option", ["--learning-rate", "--epochs", "--batch-size",
+                                        "--plateau-patience"])
+    def test_training_only_options_are_usage_errors(self, capsys, option):
+        # the check never trains, so these options could change nothing
+        with pytest.raises(SystemExit) as excinfo:
+            main(["gradcheck", option, "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_bad_tolerance_is_rejected_before_the_check(self, capsys, tol):

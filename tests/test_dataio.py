@@ -85,15 +85,6 @@ class TestRoundTrip:
         save(ds, path)
         assert load(path, sigma=3.5).samples[0].graph.sigma == 3.5
 
-    def test_with_sigma_rebuilds_shared(self):
-        ds = generate_synthetic(2, 3, 4, 3, 0.1, 0)
-        rebuilt = ds.with_sigma(2.0)
-        assert len({id(s.graph) for s in rebuilt.samples}) == 1
-        assert rebuilt.samples[0].graph.sigma == 2.0
-        np.testing.assert_array_equal(
-            rebuilt.samples[0].features, ds.samples[0].features
-        )
-
 
 class _HalfWriteThenFail:
     """File stand-in that writes half its bytes, then fails like a full disk."""

@@ -580,13 +580,6 @@ class TestRetrievalRunValidation:
         with pytest.raises(ValueError, match="distance"):
             RetrievalRun(feats, labels, feats, labels, distance="hamming")
 
-    def test_tag_carried(self):
-        feats = np.ones((2, 2))
-        labels = np.array([0, 1])
-        assert RetrievalRun(feats, labels, feats, labels).tag == ""
-        tagged = RetrievalRun(feats, labels, feats, labels, tag="test-test")
-        assert tagged.tag == "test-test"
-
     def test_features_coerced_to_float64(self):
         run = RetrievalRun(
             np.ones((1, 2), dtype=np.float32),

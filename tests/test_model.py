@@ -430,9 +430,9 @@ class TestCheckpoint:
         _, loaded = load_checkpoint(path)
         assert loaded.sigma == 10
 
-    @pytest.mark.parametrize("name", ["latent_offsets", "attn_out"])
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_non_finite_block_is_a_format_error(self, tmp_path, name):
-        # the latent and attention groups reject non-finite values
+        # every stage group rejects non-finite values
         cfg, _, params = make_instance()
         params.block(name)[0] = np.inf
         path = tmp_path / "m"

@@ -117,11 +117,18 @@ class TestGuards:
         with pytest.raises(ValueError):
             train(ds, small_config(input_dim=9))
 
-    def test_sigma_mismatch_is_rebuilt_not_rejected(self):
+    def test_sigma_mismatch_is_rejected_before_any_epoch(self):
         ds = small_task()  # graphs built at sigma 10
-        cfg = small_config(epochs=2, sigma=4.0)
-        result = train(ds, cfg)
-        assert result.epochs_run == 2
+        epochs = []
+        with pytest.raises(ValueError, match="sigma=10.0, config has sigma=4.0") as excinfo:
+            train(ds, small_config(epochs=2, sigma=4.0), callback=epochs.append)
+        assert "diverged" not in str(excinfo.value)
+        assert epochs == []
+
+    @pytest.mark.parametrize("flag", ["no_spatiality", "mean_pool"])
+    def test_sigma_mismatch_is_ignored_when_similarities_are_unread(self, flag):
+        ds = small_task()
+        assert train(ds, small_config(epochs=1, sigma=4.0, **{flag: True})).epochs_run == 1
 
 
 class TestGradCheck:
