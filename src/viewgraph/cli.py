@@ -29,14 +29,9 @@ import numpy as np
 
 from . import dataio, evalmetrics, trainer
 from .errors import ViewGraphError
-from .model import (
-    TrainConfig,
-    chunks,
-    forward,
-    load_checkpoint,
-    sample_loss,
-    save_checkpoint,
-)
+from .model import (TrainConfig, count_hits, infer, load_checkpoint, predict_features,
+                    sample_loss, save_checkpoint)
+from .model import forward  # noqa: F401 -- not called; perfbench/spans.py traces this binding
 
 log = logging.getLogger("viewgraph")
 
@@ -229,16 +224,11 @@ def _load_model_and_data(model_path, data_path):
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
     params, config, dataset = _load_model_and_data(args.model, args.data)
-    losses = []
-    hits = 0
-    for chunk in chunks(dataset.samples):
-        trace = forward(chunk, params, config)
-        losses.append(sample_loss(trace, chunk))
-        hits += sum(int(k) == s.label for k, s in zip(trace.probs.argmax(axis=1), chunk))
+    trace = infer(dataset.samples, params, config, "logits", "probs", "labels")
     summary = {
         "num_samples": dataset.num_samples,
-        "accuracy": hits / dataset.num_samples,
-        "mean_loss": float(np.mean(np.concatenate(losses))),
+        "accuracy": count_hits(trace) / dataset.num_samples,
+        "mean_loss": float(np.mean(sample_loss(trace, dataset.samples))),
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -254,8 +244,6 @@ def _cmd_eval(args) -> int:
 def _cmd_retrieve(args) -> int:
     started = time.perf_counter()
     params, config, dataset = _load_model_and_data(args.model, args.data)
-    from .model import predict_features
-
     features = predict_features(params, config, dataset)
     if args.gallery:
         gallery = dataio.load(args.gallery, sigma=config.sigma)
@@ -329,9 +317,7 @@ def _cmd_attention_dump(args) -> int:
     if config.pooled_mode:
         raise ViewGraphError("pooled models have no attention weights to dump")
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
-    alphas = np.concatenate(
-        [forward(chunk, params, config).alpha for chunk in chunks(dataset.samples)]
-    )
+    alphas = infer(dataset.samples, params, config, "alpha").alpha
     for si, alpha in enumerate(alphas):
         top = int(np.argmax(alpha))
         bottom = int(np.argmin(alpha))

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .dataio import write_csv
-from .model import EVAL_CHUNK, chunks, forward
+from .model import EVAL_CHUNK, count_hits, infer
+from .model import forward  # noqa: F401 -- not called; perfbench/spans.py traces this binding
 
 
 def accuracy(params, config, dataset) -> float:
@@ -28,13 +29,8 @@ def accuracy(params, config, dataset) -> float:
 
     Argmax ties resolve to the lowest class index.
     """
-    if dataset.num_samples == 0:
-        raise ValueError("cannot score an empty dataset")
-    hits = 0
-    for chunk in chunks(dataset.samples):
-        predicted = forward(chunk, params, config).probs.argmax(axis=1)
-        hits += sum(int(k) == s.label for k, s in zip(predicted, chunk))
-    return hits / dataset.num_samples
+    trace = infer(dataset.samples, params, config, "probs", "labels")
+    return count_hits(trace) / dataset.num_samples
 
 
 DISTANCES = ("euclidean", "cosine")

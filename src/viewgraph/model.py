@@ -215,11 +215,16 @@ class ForwardTrace:
     """Cached intermediates of one forward pass over a batch, batch axis first.
 
     The trace ``forward`` returns for a single sample drops the batch axis.
-    ``embeddings`` and ``weighted_sums`` (V, N) are the factors of the node
-    matrices; ``agg`` is the (N, N) descriptor, (N,) in the vector modes.
-    ``weighted_sums`` and ``alpha`` are None in the pooled modes.
+    ``features``, ``similarity`` and ``labels`` are the checked batch, which
+    ``backward`` reads. ``embeddings`` and ``weighted_sums`` (V, N) are the
+    factors of the node matrices; ``agg`` is the (N, N) descriptor, (N,) in
+    the vector modes. ``similarity``, ``weighted_sums`` and ``alpha`` are
+    None in the pooled modes.
     """
 
+    features: np.ndarray
+    similarity: Optional[np.ndarray]
+    labels: np.ndarray
     embeddings: np.ndarray
     weighted_sums: Optional[np.ndarray]
     alpha: Optional[np.ndarray]
@@ -232,16 +237,10 @@ class ForwardTrace:
         return ForwardTrace(**{k: None if v is None else fn(v) for k, v in vars(self).items()})
 
 
-# Shapes per forward call in eval, retrieval and attention-dump, and queries
-# per ranking block in evalmetrics: a chunk's (C, N, N) descriptors stay near
+# Shapes per forward call in ``infer``, and queries per ranking block in
+# evalmetrics: a chunk's (C, N, N) descriptors stay near
 # 4 MB at the paper point, a block's distance rows 0.5 MB at 2,000 items.
 EVAL_CHUNK = 32
-
-
-def chunks(samples):
-    """Consecutive slices of at most ``EVAL_CHUNK`` samples."""
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        yield samples[lo : lo + EVAL_CHUNK]
 
 
 def check_sigma(graph, config: TrainConfig) -> None:
@@ -288,7 +287,7 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     max_pool).
     """
     validate_params(params, config)
-    feats, sim, _, single = _inputs(samples, config)
+    feats, sim, labels, single = _inputs(samples, config)
     size, views, _ = feats.shape
     if config.no_latent:
         if not np.isfinite(feats).all():
@@ -311,31 +310,30 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
         agg = aggregate(left, weighted, alpha)
     feature = global_feature(agg, params.cls)
     logits = classify(feature, params.cls)
-    trace = ForwardTrace(emb, weighted, alpha, agg, feature, logits,
+    trace = ForwardTrace(feats, sim, labels, emb, weighted, alpha, agg, feature, logits,
                          stable_softmax(logits, axis=-1))
     return trace._map(lambda v: v[0]) if single else trace
 
 
-def backward(trace: ForwardTrace, samples, params: ModelParams, config: TrainConfig):
+def backward(trace: ForwardTrace, params: ModelParams, config: TrainConfig):
     """Gradients of the -log P[label] summed over the batch, one attribute per block.
 
-    ``trace`` and ``samples`` are as ``forward`` gave and took them. Only
-    the blocks that can move the loss are present. Absent are ``latent_*``
-    under ``no_latent``, every ``attn_*`` block under ``no_attention`` and
-    the pooled modes, and ``attn_node_vec`` under ``no_correlation``. The
-    classifier weight matrix gets the classification-route gradient only;
-    see ``TrainConfig`` on ``drop_eq10_second_term``.
+    ``trace`` is as ``forward`` gave it, with the same params and config;
+    the batch is read from it. Only the blocks that can move the loss are
+    present. Absent are ``latent_*`` under ``no_latent``, every ``attn_*``
+    block under ``no_attention`` and the pooled modes, and ``attn_node_vec``
+    under ``no_correlation``. The classifier weight matrix gets the
+    classification-route gradient only; see ``TrainConfig`` on
+    ``drop_eq10_second_term``.
     """
-    validate_params(params, config)
-    feats, sim, labels, single = _inputs(samples, config)
-    trace = trace._map(lambda v: v[None]) if single else trace
-    size, views, _ = feats.shape
+    trace = trace._map(lambda v: v[None]) if np.ndim(trace.labels) == 0 else trace
     emb = trace.embeddings
-    want = (size, views, config.effective_patterns)
-    if emb.shape != want or trace.probs.shape != (size, config.num_classes):
-        raise RuntimeError("stale trace: cached shapes do not match the current batch/config")
+    size, views, _ = emb.shape
+    if emb.shape[1:] != (config.views, config.effective_patterns) or (
+            trace.probs.shape[1:] != (config.num_classes,)):
+        raise RuntimeError("stale trace: cached shapes do not match the config")
     gfw, gfb, gcw, gcb, grad_agg = classifier_backward(
-        trace.agg, trace.global_feature, trace.probs, labels, params.cls
+        trace.agg, trace.global_feature, trace.probs, trace.labels, params.cls
     )
     grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_weights": gcw, "cls_bias": gcb}
     if config.mean_pool:
@@ -359,11 +357,11 @@ def backward(trace: ForwardTrace, samples, params: ModelParams, config: TrainCon
             if g_vec is not None:
                 grads["attn_node_vec"] = g_vec
                 grad_left += g_left
-        grad_embed = all_correlation_backward(sim, grad_left, grad_weighted)
+        grad_embed = all_correlation_backward(trace.similarity, grad_left, grad_weighted)
     if not config.no_latent:
         flat = (size * views, -1)
-        _, grads["latent_filters"], grads["latent_offsets"] = embed_backward(
-            feats.reshape(flat), params.latent, grad_embed.reshape(flat)
+        grads["latent_filters"], grads["latent_offsets"] = embed_backward(
+            trace.features.reshape(flat), emb.reshape(flat), grad_embed.reshape(flat)
         )
     return SimpleNamespace(**grads)
 
@@ -388,11 +386,29 @@ def sample_loss(trace: ForwardTrace, samples):
     return float(loss[0]) if single else loss
 
 
+def count_hits(trace) -> int:
+    """Shapes whose label is their most probable class; ties go to the lower index."""
+    return int(np.count_nonzero(trace.probs.argmax(axis=-1) == trace.labels))
+
+
+def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
+    """``forward`` over a sequence of shapes in slices of ``EVAL_CHUNK``: the
+    ``names`` fields concatenated over the slices, every other field None.
+    Each slice's full trace is dropped before the next slice runs."""
+    if len(samples) == 0:
+        raise ValueError("cannot run inference on an empty dataset")
+    kept = []
+    for lo in range(0, len(samples), EVAL_CHUNK):
+        trace = forward(samples[lo : lo + EVAL_CHUNK], params, config)
+        kept.append([getattr(trace, name) for name in names])
+        del trace
+    columns = dict(zip(names, map(np.concatenate, zip(*kept))))
+    return ForwardTrace(**{f.name: columns.get(f.name) for f in fields(ForwardTrace)})
+
+
 def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.ndarray:
     """Global feature of every sample, (M, F); the retrieval representation."""
-    return np.concatenate(
-        [forward(chunk, params, config).global_feature for chunk in chunks(dataset.samples)]
-    )
+    return infer(dataset.samples, params, config, "global_feature").global_feature
 
 
 # -- checkpoint container ("3DVG-M") ------------------------------------------
@@ -415,7 +431,8 @@ _RETIRED_FIELDS = {"threads": int, "plateau_rel_tol": float, "no_attention_wf": 
 
 
 def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
-    """Write params + config to the binary checkpoint container, atomically."""
+    """Write params + config to the binary checkpoint container, atomically.
+    A non-finite block, which ``load_checkpoint`` rejects, is a ValueError."""
     validate_params(params, config)
     buf = io.BytesIO()
     buf.write(CHECKPOINT_MAGIC)
@@ -423,7 +440,9 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     buf.write(struct.pack("<I", len(blob)))
     buf.write(blob)
-    for _, arr in params.blocks():  # through the buffer protocol: no copy per block
+    for name, arr in params.blocks():  # through the buffer protocol: no copy per block
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter block {name} is not finite; not saving {path}")
         buf.write(np.ascontiguousarray(arr, dtype="<f8"))
     write_atomic(path, buf.getbuffer(), "checkpoint")
 

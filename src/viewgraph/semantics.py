@@ -61,7 +61,12 @@ def init_latent_map(
     return LatentMapParams(filters=filters, offsets=np.zeros(num_patterns))
 
 
-def _check_features(features: np.ndarray, params: LatentMapParams) -> np.ndarray:
+def embed(features: np.ndarray, params: LatentMapParams) -> np.ndarray:
+    """Map features to soft-assignment embeddings on the probability simplex.
+
+    Accepts a single (D_low,) vector or a (V, D_low) stack of view features;
+    the softmax runs over the pattern axis either way.
+    """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim not in (1, 2):
         raise ValueError(f"features must be 1-D or 2-D, got shape {features.shape}")
@@ -72,45 +77,20 @@ def _check_features(features: np.ndarray, params: LatentMapParams) -> np.ndarray
         )
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
-    return features
-
-
-def embed(features: np.ndarray, params: LatentMapParams) -> np.ndarray:
-    """Map features to soft-assignment embeddings on the probability simplex.
-
-    Accepts a single (D_low,) vector or a (V, D_low) stack of view features;
-    the softmax runs over the pattern axis either way.
-    """
-    features = _check_features(features, params)
     logits = features @ params.filters.T + params.offsets
     return stable_softmax(logits, axis=-1)
 
 
-def embed_backward(
-    features: np.ndarray,
-    params: LatentMapParams,
-    grad_embedding: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backward pass of :func:`embed`.
-
-    Args:
-        features: the forward input, (D_low,) or (V, D_low).
-        grad_embedding: upstream gradient w.r.t. the embeddings, same leading
-            shape with N trailing.
-
-    Returns:
-        ``(grad_features, grad_filters, grad_offsets)``.
+def embed_backward(features: np.ndarray, embeddings: np.ndarray,
+                   grad_embedding: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward pass of :func:`embed` to its parameters, ``(grad_filters,
+    grad_offsets)``, from the ``embeddings`` that :func:`embed` returned for
+    ``features`` ((D_low,) or (V, D_low)) and the upstream gradient of the
+    same shape as the embeddings. The features are data: no gradient for them.
     """
-    features = _check_features(features, params)
-    grad_embedding = np.asarray(grad_embedding, dtype=np.float64)
-    expected = features.shape[:-1] + (params.num_patterns,)
-    if grad_embedding.shape != expected:
-        raise ValueError(
-            f"upstream gradient shape {grad_embedding.shape}, expected {expected}"
-        )
-    output = embed(features, params)
-    grad_logits = softmax_grad(output, grad_embedding, axis=-1)
+    if np.shape(grad_embedding) != np.shape(embeddings):
+        raise ValueError(f"upstream gradient shape {np.shape(grad_embedding)}, "
+                         f"expected {np.shape(embeddings)}")
     # as rows: a single vector is one row, a K=1 product and a one-row sum
-    rows = grad_logits.reshape(-1, params.num_patterns)
-    grad_filters = rows.T @ features.reshape(-1, params.input_dim)
-    return grad_logits @ params.filters, grad_filters, rows.sum(axis=0)
+    rows = softmax_grad(embeddings, grad_embedding, axis=-1).reshape(-1, embeddings.shape[-1])
+    return rows.T @ np.reshape(features, (len(rows), -1)), rows.sum(axis=0)

@@ -17,6 +17,7 @@ from .model import (
     TrainConfig,
     backward,
     check_sigma,
+    count_hits,
     forward,
     init_model,
     sample_loss,
@@ -116,8 +117,8 @@ def train(
                     f"{config.sigma})"
                 ) from exc
             loss_sum += float(losses.sum())
-            hits += sum(int(k) == s.label for k, s in zip(trace.probs.argmax(axis=1), batch))
-            grads = vars(backward(trace, batch, params, config))
+            hits += count_hits(trace)
+            grads = vars(backward(trace, params, config))
             del trace  # free it before the update
             step = config.learning_rate / len(batch)
             for name, arr in params.blocks():
@@ -184,7 +185,7 @@ def grad_check(
         raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
     work = params.copy()
     trace = forward(sample, work, config)
-    analytic = backward(trace, sample, work, config)
+    analytic = backward(trace, work, config)
     if grad_hook is not None:
         grad_hook(analytic)
 

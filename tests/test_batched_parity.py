@@ -16,12 +16,14 @@ import pytest
 from oracles import dense_backward, dense_forward, dense_loss
 from viewgraph.cli import main as cli_main
 from viewgraph.dataio import Dataset, ShapeSample
+from viewgraph.evalmetrics import accuracy
 from viewgraph.geometry import build_view_graph
 from viewgraph.model import (
     EVAL_CHUNK,
     TrainConfig,
     backward,
     forward,
+    infer,
     init_model,
     predict_features,
     sample_loss,
@@ -73,7 +75,7 @@ def relative_error(got, want):
 def assert_matches_dense(config, samples, params, single=False):
     arg = samples[0] if single else samples
     trace = forward(arg, params, config)
-    grads = vars(backward(trace, arg, params, config))
+    grads = vars(backward(trace, params, config))
     losses = np.atleast_1d(sample_loss(trace, arg))
     dense = [dense_forward(s, params, config) for s in samples]
     for name in TRACE_FIELDS:
@@ -117,9 +119,25 @@ def test_predict_features_matches_per_shape_forward(flag):
     # more than two chunks, the last one partial
     config, samples, params = instance(2 * EVAL_CHUNK + 7, {flag: True} if flag else {})
     dataset = Dataset(samples=samples, class_names=[str(i) for i in range(4)])
-    got = predict_features(params, config, dataset)
-    want = np.stack([forward(s, params, config).global_feature for s in samples])
-    assert relative_error(got, want) <= TOLERANCE
+    per_shape = [forward(s, params, config) for s in samples]
+    # every field the config computes; alpha, the similarities and the
+    # weighted sums are None in the pooled modes
+    names = [name for name, value in vars(per_shape[0]).items() if value is not None]
+    got = infer(samples, params, config, *names)
+    for name, value in vars(got).items():
+        if name not in names:
+            assert value is None, name
+            continue
+        want = np.stack([getattr(t, name) for t in per_shape])
+        if name == "labels":
+            np.testing.assert_array_equal(value, want)
+        else:
+            err = relative_error(value, want)
+            assert err <= TOLERANCE, f"field {name}: relative error {err:.2e}"
+    want = np.stack([t.global_feature for t in per_shape])
+    assert relative_error(predict_features(params, config, dataset), want) <= TOLERANCE
+    hits = sum(int(t.probs.argmax()) == s.label for t, s in zip(per_shape, samples))
+    assert accuracy(params, config, dataset) == hits / len(samples)
 
 
 def test_sigma_zero_and_no_spatiality_give_the_same_checkpoint_bytes(tmp_path):

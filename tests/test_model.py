@@ -178,7 +178,7 @@ class TestForward:
             dense["pool_argmax"], trace.embeddings.argmax(axis=0)
         )
         want = dense_backward(dense, sample, params, cfg)
-        for name, grad in vars(backward(trace, sample, params, cfg)).items():
+        for name, grad in vars(backward(trace, params, cfg)).items():
             np.testing.assert_allclose(grad, want[name], rtol=1e-12, atol=1e-15)
 
     def test_no_latent_uses_raw_features(self):
@@ -203,8 +203,8 @@ class TestForward:
         tn = forward(sn, params, cfgn)
         np.testing.assert_array_equal(t0.probs, tn.probs)
         np.testing.assert_array_equal(t0.global_feature, tn.global_feature)
-        g0 = backward(t0, s0, params, cfg0)
-        gn = backward(tn, sn, params, cfgn)
+        g0 = backward(t0, params, cfg0)
+        gn = backward(tn, params, cfgn)
         assert vars(g0).keys() == vars(gn).keys()
         for name, arr in vars(g0).items():
             np.testing.assert_array_equal(arr, getattr(gn, name))
@@ -235,13 +235,13 @@ class TestForward:
             forward(wrong_sigma, params, cfg)
 
     def test_stale_trace_detected(self):
+        # backward reads the batch from the trace, so a trace made under
+        # another config is the one mismatch left to catch
         cfg, sample, params = make_instance()
-        other_cfg, other_sample, other_params = make_instance(
-            seed=1, views=5, patterns=6
-        )
+        other_cfg, _, other_params = make_instance(seed=1, patterns=6)
         trace = forward(sample, params, cfg)
-        with pytest.raises(RuntimeError):
-            backward(trace, other_sample, other_params, other_cfg)
+        with pytest.raises(RuntimeError, match="stale trace"):
+            backward(trace, other_params, other_cfg)
 
 
 class TestBackwardRoutes:
@@ -253,8 +253,8 @@ class TestBackwardRoutes:
         cfg_drop = dataclasses.replace(cfg, drop_eq10_second_term=True)
         assert cfg_drop == cfg and "drop_eq10_second_term" not in vars(cfg_drop)
         trace = forward(sample, params, cfg)
-        g_full = backward(trace, sample, params, cfg)
-        g_drop = backward(trace, sample, params, cfg_drop)
+        g_full = backward(trace, params, cfg)
+        g_drop = backward(trace, params, cfg_drop)
         assert vars(g_full).keys() == vars(g_drop).keys()
         for name, arr in vars(g_full).items():
             np.testing.assert_array_equal(arr, getattr(g_drop, name))
@@ -263,7 +263,7 @@ class TestBackwardRoutes:
         # the scores have no shared context term, so its two blocks are gone
         cfg, sample, params = make_instance()
         trace = forward(sample, params, cfg)
-        grads = backward(trace, sample, params, cfg)
+        grads = backward(trace, params, cfg)
         for name in ("attn_ctx_vec", "attn_bias"):
             assert not hasattr(grads, name) and name not in BLOCK_NAMES
 
@@ -273,7 +273,7 @@ class TestBackwardBlocks:
     def test_blocks_match_params_and_unused_are_zero(self, flag):
         # Unused blocks are absent, which train and grad_check read as zero.
         cfg, sample, params = make_instance(**({flag: True} if flag else {}))
-        grads = backward(forward(sample, params, cfg), sample, params, cfg)
+        grads = backward(forward(sample, params, cfg), params, cfg)
         unused = set()
         if cfg.pooled_mode or cfg.no_attention:
             unused |= {n for n in BLOCK_NAMES if n.startswith("attn_")}
@@ -432,13 +432,34 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_non_finite_block_is_a_format_error(self, tmp_path, name):
-        # every stage group rejects non-finite values
+        # every stage group rejects non-finite values; save refuses them, so
+        # the first value of the block is overwritten in the file
         cfg, _, params = make_instance()
-        params.block(name)[0] = np.inf
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
+        data = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", data, 10)
+        shapes = vgm.block_shapes(cfg)
+        before = sum(int(np.prod(s)) for _, s in shapes[: BLOCK_NAMES.index(name)])
+        struct.pack_into("<d", data, 14 + cfg_len + 8 * before, np.inf)
+        path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="must be finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,value", [("cls_bias", np.nan), ("latent_filters", -np.inf)])
+    def test_save_refuses_a_non_finite_block(self, tmp_path, name, value):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        before = path.read_bytes()
+        params.block(name)[0] = value
+        with pytest.raises(ValueError, match=name):
+            save_checkpoint(path, params, cfg)
+        assert path.read_bytes() == before
+        fresh = tmp_path / "fresh"
+        with pytest.raises(ValueError, match=name):
+            save_checkpoint(fresh, params, cfg)
+        assert not fresh.exists()
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIOError):

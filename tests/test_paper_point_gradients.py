@@ -66,7 +66,7 @@ def paper_point_instance(flags, batch=None):
 def check_directions(config, samples, params, rng):
     """Worst relative error of <g, u> against central differences of the
     loss summed over ``samples``, two random unit directions u per block."""
-    grads = vars(backward(forward(samples, params, config), samples, params, config))
+    grads = vars(backward(forward(samples, params, config), params, config))
 
     def loss() -> float:
         return float(np.sum(sample_loss(forward(samples, params, config), samples)))
