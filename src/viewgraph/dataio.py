@@ -17,8 +17,10 @@ bit-identical. View directions are stored as float64: they are tiny next to
 the features and exact storage keeps reloaded unit vectors exactly unit.
 
 The loader never trusts the header: every count is checked against the
-actual byte length before any array is built, so corrupt or truncated files
-fail with a typed error instead of an allocation blow-up.
+bytes left in the file before anything is read or allocated, so corrupt or
+truncated files fail with a typed error instead of an allocation blow-up.
+The checkpoint container (``model.load_checkpoint``) is read by the same
+``_Reader``.
 """
 
 import contextlib
@@ -105,35 +107,67 @@ def validate_dataset(dataset: Dataset) -> None:
 
 
 class _Reader:
-    """Byte cursor that raises DataIOError instead of reading short."""
+    """Front-to-back reader of an open container file. Each count is checked
+    against the bytes left (``os.fstat``) before anything is read or
+    allocated: a short file is a DataIOError, never a short read."""
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
 
     def take(self, count: int, what: str) -> bytes:
-        if count < 0 or self.pos + count > len(self.data):
-            raise DataIOError(f"file truncated while reading {what}")
-        out = self.data[self.pos : self.pos + count]
-        self.pos += count
-        return out
+        return self.array(np.uint8, count, what).tobytes()
 
     def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
+        return int.from_bytes(self.take(4, what), "little")
 
     def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
+        return int.from_bytes(self.take(2, what), "little")
 
     def u8(self, what: str) -> int:
         return self.take(1, what)[0]
 
     def string(self, what: str) -> str:
-        length = self.u16(f"{what} length")
-        raw = self.take(length, what)
+        raw = self.take(self.u16(f"{what} length"), what)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"{what} is not valid UTF-8") from exc
+
+    def header(self, magic: bytes, versions, what: str) -> int:
+        """Check the magic and return the version, which must be in ``versions``."""
+        if self.take(len(magic), "magic") != magic:
+            raise FormatError(f"not a {what} file (bad magic)")
+        version = self.u32("version")
+        if version not in versions:
+            raise FormatError(f"unsupported {what} version {version}")
+        return version
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """The next ``count`` values, read straight into a new 1-D array."""
+        nbytes = count * np.dtype(dtype).itemsize
+        if count < 0 or nbytes > self.left:
+            raise DataIOError(f"file truncated while reading {what}")
+        self.left -= nbytes
+        out = np.empty(count, dtype)
+        if self.fh.readinto(out) != nbytes:
+            raise DataIOError(f"file truncated while reading {what}")
+        return out
+
+    def finish(self) -> None:
+        if self.left:
+            raise FormatError(f"trailing bytes: {self.left} past end of layout")
+
+
+@contextlib.contextmanager
+def read_container(path, what: str):
+    """A _Reader over ``path``; an OSError while reading is a DataIOError
+    naming ``what`` and the path."""
+    try:
+        with open(path, "rb") as fh:
+            yield _Reader(fh)
+    except OSError as exc:
+        raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def write_atomic(path, data: bytes, what: str) -> None:
@@ -192,13 +226,8 @@ def save(dataset: Dataset, path) -> None:
     put_string(dataset.split)
     for name in dataset.class_names:
         put_string(name)
-    if shared:
-        parts.append(
-            np.ascontiguousarray(dataset.samples[0].graph.directions, dtype="<f8").tobytes()
-        )
-    else:
-        for s in dataset.samples:
-            parts.append(np.ascontiguousarray(s.graph.directions, dtype="<f8").tobytes())
+    rigs = dataset.samples[:1] if shared else dataset.samples
+    parts += [np.ascontiguousarray(s.graph.directions, dtype="<f8").tobytes() for s in rigs]
     for s in dataset.samples:
         parts.append(struct.pack("<I", s.label))
         parts.append(np.ascontiguousarray(s.features, dtype="<f4").tobytes())
@@ -206,63 +235,45 @@ def save(dataset: Dataset, path) -> None:
 
 
 def load(path, sigma: float = DEFAULT_SIGMA) -> Dataset:
-    """Read and validate a dataset container, building graphs at ``sigma``."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot read dataset {path}: {exc}") from exc
-    r = _Reader(data)
-    if r.take(6, "magic") != DATASET_MAGIC:
-        raise FormatError("not a dataset file (bad magic)")
-    version = r.u32("version")
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    num_classes = r.u32("class count")
-    views = r.u32("view count")
-    feature_dim = r.u32("feature dim")
-    num_samples = r.u32("sample count")
-    per_shape = r.u8("per-shape-dirs flag")
-    if per_shape not in (0, 1):
-        raise FormatError(f"per-shape-dirs flag must be 0 or 1, got {per_shape}")
-    if num_classes < 1 or views < 1 or feature_dim < 1 or num_samples < 1:
-        raise FormatError("header counts must all be >= 1")
-    split = r.string("split tag")
-    class_names = [r.string(f"class name {i}") for i in range(num_classes)]
+    """Read and validate a dataset container, building graphs at ``sigma``.
 
-    dirs_blocks = num_samples if per_shape else 1
-    expected = (
-        r.pos
-        + dirs_blocks * views * 3 * 8
-        + num_samples * (4 + views * feature_dim * 4)
-    )
-    if len(data) < expected:
-        raise DataIOError(
-            f"file truncated: {len(data)} bytes, layout requires {expected}"
-        )
-    if len(data) > expected:
-        raise FormatError(f"trailing bytes: {len(data) - expected} past end of layout")
+    The directions and the sample records are each read straight into one
+    array; a sample's features are a view of the records.
+    """
+    with read_container(path, "dataset") as r:
+        r.header(DATASET_MAGIC, (DATASET_VERSION,), "dataset")
+        num_classes = r.u32("class count")
+        views = r.u32("view count")
+        feature_dim = r.u32("feature dim")
+        num_samples = r.u32("sample count")
+        per_shape = r.u8("per-shape-dirs flag")
+        if per_shape not in (0, 1):
+            raise FormatError(f"per-shape-dirs flag must be 0 or 1, got {per_shape}")
+        if num_classes < 1 or views < 1 or feature_dim < 1 or num_samples < 1:
+            raise FormatError("header counts must all be >= 1")
+        split = r.string("split tag")
+        class_names = [r.string(f"class name {i}") for i in range(num_classes)]
+        rigs = num_samples if per_shape else 1
+        dirs = r.array("<f8", rigs * views * 3, "view directions")
+        # claimed as bytes first: a subarray dtype of a corrupt size raises
+        # an untyped ValueError
+        records = r.array(np.uint8, num_samples * (4 + views * feature_dim * 4),
+                          "sample records")
+        r.finish()
+    records = records.view([("label", "<u4"), ("features", "<f4", (views, feature_dim))])
 
-    def read_graph(what: str) -> ViewGraph:
-        raw = r.take(views * 3 * 8, what)
-        dirs = np.frombuffer(raw, dtype="<f8").reshape(views, 3).astype(np.float64)
+    graphs = []
+    for i, rig in enumerate(dirs.reshape(rigs, views, 3)):
         try:
-            return build_view_graph(dirs, sigma)
+            graphs.append(build_view_graph(rig, sigma))
         except ValueError as exc:
+            what = f"directions of sample {i}" if per_shape else "shared directions"
             raise ValidationError(f"{what}: {exc}") from exc
-
-    if per_shape:
-        graphs = [read_graph(f"directions of sample {i}") for i in range(num_samples)]
-    else:
-        graphs = [read_graph("shared directions")] * num_samples
-
-    samples = []
-    for i in range(num_samples):
-        (label,) = struct.unpack("<I", r.take(4, f"label of sample {i}"))
-        raw = r.take(views * feature_dim * 4, f"features of sample {i}")
-        feats = np.frombuffer(raw, dtype="<f4").reshape(views, feature_dim)
-        samples.append(ShapeSample(label=int(label), features=feats, graph=graphs[i]))
-
+    graphs *= num_samples // rigs  # one graph per rig, shared by its samples
+    samples = [
+        ShapeSample(label=int(label), features=feats, graph=graph)
+        for label, feats, graph in zip(records["label"], records["features"], graphs)
+    ]
     dataset = Dataset(samples=samples, class_names=class_names, split=split)
     validate_dataset(dataset)
     return dataset

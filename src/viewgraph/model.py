@@ -22,6 +22,7 @@ differences agree under every flag combination.
 
 import io
 import json
+import math
 import struct
 from dataclasses import InitVar, asdict, dataclass, fields
 from types import SimpleNamespace
@@ -48,8 +49,8 @@ from .classifier import (
 # The dense all_cumulative_correlations is not called here; perfbench/spans.py
 # traces the correlation stage under this name.
 from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
-from .dataio import DEFAULT_SIGMA, write_atomic
-from .errors import DataIOError, FormatError
+from .dataio import DEFAULT_SIGMA, read_container, write_atomic
+from .errors import FormatError
 from .numeric import softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
 
@@ -394,14 +395,17 @@ def count_hits(trace) -> int:
 def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
     """``forward`` over a sequence of shapes in slices of ``EVAL_CHUNK``: the
     ``names`` fields concatenated over the slices, every other field None.
-    Each slice's full trace is dropped before the next slice runs."""
+    Each slice's full trace is dropped before the next slice runs. A one-row
+    remainder joins the slice before it: a one-row feature GEMM takes BLAS's
+    GEMV path, whose sums differ in the last bits."""
     if len(samples) == 0:
         raise ValueError("cannot run inference on an empty dataset")
-    kept = []
-    for lo in range(0, len(samples), EVAL_CHUNK):
-        trace = forward(samples[lo : lo + EVAL_CHUNK], params, config)
+    kept, lo = [], 0
+    for hi in [*range(EVAL_CHUNK, len(samples) - 1, EVAL_CHUNK), len(samples)]:
+        trace = forward(samples[lo:hi], params, config)
         kept.append([getattr(trace, name) for name in names])
         del trace
+        lo = hi
     columns = dict(zip(names, map(np.concatenate, zip(*kept))))
     return ForwardTrace(**{f.name: columns.get(f.name) for f in fields(ForwardTrace)})
 
@@ -462,57 +466,35 @@ def _check_config_types(cfg_dict: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
-    """Read a checkpoint back; raises FormatError/DataIOError on damage."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataIOError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(data) < 10 or data[:6] != CHECKPOINT_MAGIC:
-        raise FormatError("not a model checkpoint (bad magic)")
-    (version,) = struct.unpack_from("<I", data, 6)
-    if version not in (1, CHECKPOINT_VERSION):
-        raise FormatError(f"unsupported checkpoint version {version}")
-    if len(data) < 14:
-        raise DataIOError("checkpoint truncated in header")
-    (cfg_len,) = struct.unpack_from("<I", data, 10)
-    if len(data) < 14 + cfg_len:
-        raise DataIOError("checkpoint truncated in config block")
-    try:
-        cfg_dict = json.loads(data[14 : 14 + cfg_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"checkpoint config block is not valid JSON: {exc}") from exc
-    known = {f.name for f in fields(TrainConfig)}
-    if not isinstance(cfg_dict, dict) or set(cfg_dict) - set(_RETIRED_FIELDS) != known:
-        raise FormatError("checkpoint config block has wrong fields")
-    _check_config_types(cfg_dict)
-    cfg_dict["no_attention"] |= cfg_dict.get("no_attention_c", False)
-    try:
-        config = TrainConfig(**{name: cfg_dict[name] for name in known})
-    except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid checkpoint config: {exc}") from exc
+    """Read a checkpoint back; raises FormatError/DataIOError on damage.
+    The payload is read once into one float64 array, and each block is a view
+    of it."""
+    with read_container(path, "checkpoint") as r:
+        version = r.header(CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION), "checkpoint")
+        blob = r.take(r.u32("config length"), "config block")
+        try:
+            cfg_dict = json.loads(blob.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"checkpoint config block is not valid JSON: {exc}") from exc
+        known = {f.name for f in fields(TrainConfig)}
+        if not isinstance(cfg_dict, dict) or set(cfg_dict) - set(_RETIRED_FIELDS) != known:
+            raise FormatError("checkpoint config block has wrong fields")
+        _check_config_types(cfg_dict)
+        cfg_dict["no_attention"] |= cfg_dict.get("no_attention_c", False)
+        try:
+            config = TrainConfig(**{name: cfg_dict[name] for name in known})
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"invalid checkpoint config: {exc}") from exc
 
-    shapes = block_shapes(config)
-    if version == 1:  # attn_ctx_vec and attn_bias, just before attn_out
-        retired = ("retired", (config.feature_dim + config.num_classes,))
-        shapes.insert(BLOCK_NAMES.index("attn_out"), retired)
-    offset = 14 + cfg_len
-    expected = sum(int(np.prod(s)) for _, s in shapes) * 8
-    if len(data) - offset != expected:
-        raise (
-            DataIOError("checkpoint parameter payload truncated")
-            if len(data) - offset < expected
-            else FormatError("checkpoint has trailing bytes")
-        )
-    arrays = {}
-    for name, shape in shapes:
-        count = int(np.prod(shape))
-        arrays[name] = (
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-            .reshape(shape)
-            .astype(np.float64)
-        )
-        offset += count * 8
+        shapes = block_shapes(config)
+        if version == 1:  # attn_ctx_vec and attn_bias, just before attn_out
+            retired = ("retired", (config.feature_dim + config.num_classes,))
+            shapes.insert(BLOCK_NAMES.index("attn_out"), retired)
+        sizes = [math.prod(shape) for _, shape in shapes]
+        payload = r.array("<f8", sum(sizes), "parameter payload")
+        r.finish()
+    parts = np.split(payload, np.cumsum(sizes[:-1]))
+    arrays = {name: part.reshape(shape) for (name, shape), part in zip(shapes, parts)}
     try:
         return ModelParams.from_blocks(arrays), config
     except ValueError as exc:  # the stage groups reject non-finite parameters

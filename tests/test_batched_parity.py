@@ -13,6 +13,7 @@ import struct
 import numpy as np
 import pytest
 
+import viewgraph.model as vgm
 from oracles import dense_backward, dense_forward, dense_loss
 from viewgraph.cli import main as cli_main
 from viewgraph.dataio import Dataset, ShapeSample
@@ -138,6 +139,25 @@ def test_predict_features_matches_per_shape_forward(flag):
     assert relative_error(predict_features(params, config, dataset), want) <= TOLERANCE
     hits = sum(int(t.probs.argmax()) == s.label for t, s in zip(per_shape, samples))
     assert accuracy(params, config, dataset) == hits / len(samples)
+
+
+@pytest.mark.parametrize("size", (1, 2, EVAL_CHUNK, EVAL_CHUNK + 1, EVAL_CHUNK + 2,
+                                  2 * EVAL_CHUNK + 1))
+def test_infer_never_runs_a_lone_last_row(size, monkeypatch):
+    # a one-row feature GEMM takes BLAS's GEMV path, whose sums differ in the
+    # last bits: a lone last row would make a shape's output depend on the
+    # set's length mod EVAL_CHUNK
+    config, samples, params = instance(size)
+    lengths = []
+
+    def recording(batch, *args):
+        lengths.append(len(batch))
+        return forward(batch, *args)
+
+    monkeypatch.setattr(vgm, "forward", recording)
+    infer(samples, params, config, "global_feature")
+    assert sum(lengths) == size and max(lengths) <= EVAL_CHUNK + 1
+    assert 1 not in lengths or size == 1
 
 
 def test_sigma_zero_and_no_spatiality_give_the_same_checkpoint_bytes(tmp_path):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -572,6 +573,41 @@ def corrupt(base, rng, mode):
         pos = int(rng.integers(max(1, len(blob) - 4)))
         blob[pos : pos + 4] = noise(4)
     return bytes(blob)
+
+
+class TestCheckpointReads:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_every_truncation_point_is_a_data_io_error(self, tmp_path, version):
+        # a cut inside the magic or the version is a short file too
+        source = DATA / "v1-default.3dvgm"
+        if version == 2:
+            source = tmp_path / "v2.3dvgm"
+            save_checkpoint(source, *load_checkpoint(DATA / "v1-default.3dvgm"))
+        target = tmp_path / "cut.3dvgm"
+        target.write_bytes(source.read_bytes())
+        for cut in reversed(range(target.stat().st_size)):
+            os.truncate(target, cut)
+            with pytest.raises(DataIOError):
+                load_checkpoint(target)
+
+    def test_blocks_are_aligned_writable_float64(self, tmp_path):
+        # the payload starts at byte 14 + len(config JSON); the seed's digit
+        # count walks that offset through every residue mod 8, and the blocks
+        # must be 8-aligned at each (an unaligned feature GEMM is ~11x slower)
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        residues = set()
+        for digits in range(1, 9):
+            seeded = dataclasses.replace(cfg, seed=10 ** (digits - 1))
+            save_checkpoint(path, params, seeded)
+            residues.add((14 + struct.unpack_from("<I", path.read_bytes(), 10)[0]) % 8)
+            loaded, _ = load_checkpoint(path)
+            for name, arr in loaded.blocks():
+                assert arr.dtype == np.float64 and arr.dtype.isnative, name
+                assert arr.flags.aligned and arr.flags.c_contiguous, name
+                assert arr.flags.writeable and arr.ctypes.data % 8 == 0, name
+                np.testing.assert_array_equal(arr, params.block(name))
+        assert residues == set(range(8))
 
 
 class TestCheckpointFuzz:
