@@ -122,12 +122,14 @@ def classifier_backward(agg, feature, probs, labels, params: ClassifierParams):
     """Backward pass of the summed -log P[label] over a batch.
 
     Takes the cached descriptors (B, ...), features (B, F) and probabilities
-    (B, L) and the (B,) labels; returns ``(grad_feat_weights, grad_feat_bias,
+    (B, L) and the (B,) labels; returns ``(g_pre, flat, grad_feat_bias,
     grad_cls_weights, grad_cls_bias, grad_agg)``: the parameter gradients
     summed over the batch, and ``grad_agg`` shaped like ``agg``. The logit
-    gradient is probs minus the one-hot label; the feature-layer gradient
-    is one GEMM, ``g_pre^T @ flat``. The classifier weights get the
-    classification route only.
+    gradient is probs minus the one-hot label. The feature-layer gradient
+    stays as its two factors, the pre-sigmoid gradient ``g_pre`` (B, F) and
+    the flattened descriptors ``flat`` (B, K): it is ``g_pre.T @ flat``, which
+    no caller but a gradient check needs dense (``model.dense_gradient``).
+    The classifier weights get the classification route only.
     """
     flat = _flatten_descriptor(agg, params)
     labels = np.asarray(labels)
@@ -137,5 +139,5 @@ def classifier_backward(agg, feature, probs, labels, params: ClassifierParams):
     grad_logits[np.arange(len(flat)), labels] -= 1.0
     grad_pre = (grad_logits @ params.cls_weights) * feature * (1.0 - feature)
     grad_agg = (grad_pre @ params.feat_weights).reshape(np.shape(agg))
-    return (grad_pre.T @ flat, grad_pre.sum(axis=0), grad_logits.T @ feature,
+    return (grad_pre, flat, grad_pre.sum(axis=0), grad_logits.T @ feature,
             grad_logits.sum(axis=0), grad_agg)

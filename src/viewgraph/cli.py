@@ -92,7 +92,7 @@ def _write_manifest(path, command: str, config, inputs: dict, outputs: list, sec
         **_software(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    dataio.write_atomic(path, text.encode(), "manifest")
+    dataio.write_atomic(path, [text.encode()], "manifest")
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:

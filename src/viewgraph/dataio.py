@@ -170,17 +170,20 @@ def read_container(path, what: str):
         raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_atomic(path, data: bytes, what: str) -> None:
-    """Replace ``path`` with ``data`` so that readers see the old or the new bytes.
+def write_atomic(path, parts, what: str) -> None:
+    """Replace ``path`` with the bytes-like ``parts``, written in order, so that
+    readers see the old or the new bytes.
 
-    The bytes go to a temporary file beside the target, which is then renamed
-    over it; a process killed mid-write leaves the previous file untouched.
+    Each part (bytes, or an array through the buffer protocol) is one write to
+    a temporary file beside the target, which is then renamed over it; a
+    process killed mid-write leaves the previous file untouched.
     Raises DataIOError, naming ``what`` (say "dataset") in the message.
     """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except OSError as exc:
         raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
@@ -193,7 +196,7 @@ def write_csv(path, rows, what: str) -> None:
     """Render ``rows`` (header first) as CSV text and write it atomically."""
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    write_atomic(path, text.getvalue().encode(), what)
+    write_atomic(path, [text.getvalue().encode()], what)
 
 
 def save(dataset: Dataset, path) -> None:
@@ -227,11 +230,11 @@ def save(dataset: Dataset, path) -> None:
     for name in dataset.class_names:
         put_string(name)
     rigs = dataset.samples[:1] if shared else dataset.samples
-    parts += [np.ascontiguousarray(s.graph.directions, dtype="<f8").tobytes() for s in rigs]
+    parts += [np.ascontiguousarray(s.graph.directions, dtype="<f8") for s in rigs]
     for s in dataset.samples:
         parts.append(struct.pack("<I", s.label))
-        parts.append(np.ascontiguousarray(s.features, dtype="<f4").tobytes())
-    write_atomic(path, b"".join(parts), "dataset")
+        parts.append(np.ascontiguousarray(s.features, dtype="<f4"))
+    write_atomic(path, parts, "dataset")
 
 
 def load(path, sigma: float = DEFAULT_SIGMA) -> Dataset:

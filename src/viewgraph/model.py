@@ -20,7 +20,6 @@ always differentiates the computation that actually ran, so finite
 differences agree under every flag combination.
 """
 
-import io
 import json
 import math
 import struct
@@ -323,8 +322,11 @@ def backward(trace: ForwardTrace, params: ModelParams, config: TrainConfig):
     the batch is read from it. Only the blocks that can move the loss are
     present. Absent are ``latent_*`` under ``no_latent``, every ``attn_*``
     block under ``no_attention`` and the pooled modes, and ``attn_node_vec``
-    under ``no_correlation``. The classifier weight matrix gets the
-    classification-route gradient only; see ``TrainConfig`` on
+    under ``no_correlation``. ``feat_weights`` is the pair of factors
+    ``(g_pre, flat)``, (B, F) and (B, K), whose product ``g_pre.T @ flat`` is
+    its gradient: the trainer applies it in row blocks, and
+    ``dense_gradient`` multiplies it out. The classifier weight matrix gets
+    the classification-route gradient only; see ``TrainConfig`` on
     ``drop_eq10_second_term``.
     """
     trace = trace._map(lambda v: v[None]) if np.ndim(trace.labels) == 0 else trace
@@ -333,10 +335,11 @@ def backward(trace: ForwardTrace, params: ModelParams, config: TrainConfig):
     if emb.shape[1:] != (config.views, config.effective_patterns) or (
             trace.probs.shape[1:] != (config.num_classes,)):
         raise RuntimeError("stale trace: cached shapes do not match the config")
-    gfw, gfb, gcw, gcb, grad_agg = classifier_backward(
+    g_pre, flat, gfb, gcw, gcb, grad_agg = classifier_backward(
         trace.agg, trace.global_feature, trace.probs, trace.labels, params.cls
     )
-    grads = {"feat_weights": gfw, "feat_bias": gfb, "cls_weights": gcw, "cls_bias": gcb}
+    grads = {"feat_weights": (g_pre, flat), "feat_bias": gfb, "cls_weights": gcw,
+             "cls_bias": gcb}
     if config.mean_pool:
         grad_embed = np.repeat(grad_agg[:, None, :] / views, views, axis=1)
     elif config.max_pool:
@@ -365,6 +368,12 @@ def backward(trace: ForwardTrace, params: ModelParams, config: TrainConfig):
             trace.features.reshape(flat), emb.reshape(flat), grad_embed.reshape(flat)
         )
     return SimpleNamespace(**grads)
+
+
+def dense_gradient(grad) -> np.ndarray:
+    """A ``backward`` entry as one array: the ``feat_weights`` factors
+    ``(g_pre, flat)`` multiplied out to ``g_pre.T @ flat``, any other as is."""
+    return grad[0].T @ grad[1] if isinstance(grad, tuple) else grad
 
 
 def sample_loss(trace: ForwardTrace, samples):
@@ -438,17 +447,13 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     """Write params + config to the binary checkpoint container, atomically.
     A non-finite block, which ``load_checkpoint`` rejects, is a ValueError."""
     validate_params(params, config)
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    for name, arr in params.blocks():  # through the buffer protocol: no copy per block
+    parts = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob]
+    for name, arr in params.blocks():  # written through the buffer protocol, not copied
         if not np.isfinite(arr).all():
             raise ValueError(f"parameter block {name} is not finite; not saving {path}")
-        buf.write(np.ascontiguousarray(arr, dtype="<f8"))
-    write_atomic(path, buf.getbuffer(), "checkpoint")
+        parts.append(np.ascontiguousarray(arr, dtype="<f8"))
+    write_atomic(path, parts, "checkpoint")
 
 
 def _check_config_types(cfg_dict: dict) -> None:

@@ -23,6 +23,7 @@ from viewgraph.model import (
     EVAL_CHUNK,
     TrainConfig,
     backward,
+    dense_gradient,
     forward,
     infer,
     init_model,
@@ -95,7 +96,7 @@ def assert_matches_dense(config, samples, params, single=False):
             summed[name] = summed.get(name, 0.0) + g
     assert set(grads) == set(summed)
     for name, g in grads.items():
-        err = relative_error(g, summed[name])
+        err = relative_error(dense_gradient(g), summed[name])
         assert err <= TOLERANCE, f"gradient {name}: relative error {err:.2e}"
 
 

@@ -13,7 +13,7 @@ from viewgraph.classifier import (
     global_feature,
     init_classifier,
 )
-from viewgraph.model import sample_loss
+from viewgraph.model import dense_gradient, sample_loss
 from viewgraph.numeric import stable_softmax
 
 
@@ -121,11 +121,12 @@ class TestBackward:
 
             feature = global_feature(agg, params)
             probs = stable_softmax(classify(feature, params))
-            gfw, gfb, gcw, gcb, gagg = classifier_backward(
+            g_pre, flat, gfb, gcw, gcb, gagg = classifier_backward(
                 agg, feature, probs, labels, params
             )
             np.testing.assert_allclose(
-                gfw, central_difference(loss, params.feat_weights), atol=1e-8
+                dense_gradient((g_pre, flat)), central_difference(loss, params.feat_weights),
+                atol=1e-8,
             )
             np.testing.assert_allclose(
                 gfb, central_difference(loss, params.feat_bias), atol=1e-8
@@ -146,7 +147,7 @@ class TestBackward:
         agg = rng.standard_normal((1, 2))
         feature = global_feature(agg, params)
         probs = stable_softmax(classify(feature, params))
-        _, _, _, gcb, _ = classifier_backward(agg, feature, probs, [1], params)
+        *_, gcb, _ = classifier_backward(agg, feature, probs, [1], params)
         np.testing.assert_allclose(gcb, probs[0] - [0.0, 1.0, 0.0], atol=1e-15)
         with pytest.raises(ValueError, match="out of range"):
             classifier_backward(agg, feature, probs, [3], params)

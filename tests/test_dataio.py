@@ -89,10 +89,12 @@ class TestRoundTrip:
 
 
 class _HalfWriteThenFail:
-    """File stand-in that writes half its bytes, then fails like a full disk."""
+    """File stand-in that passes its first ``whole`` writes through, then
+    writes half the bytes of the next one and fails like a full disk."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, whole=0):
         self.fh = fh
+        self.whole = whole
 
     def __enter__(self):
         return self
@@ -101,7 +103,11 @@ class _HalfWriteThenFail:
         self.fh.close()
 
     def write(self, data):
-        self.fh.write(data[: len(data) // 2])
+        if self.whole:
+            self.whole -= 1
+            return self.fh.write(data)
+        raw = memoryview(data).cast("B")
+        self.fh.write(raw[: len(raw) // 2])
         self.fh.flush()
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -161,22 +167,33 @@ def _write_manifest(seed, path):
 
 
 class TestAtomicWrite:
+    @staticmethod
+    def _fail_and_check(tmp_path, monkeypatch, writer, whole):
+        path = tmp_path / "out.bin"
+        writer(1, path)
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            vgd, "open", lambda *a, **k: _HalfWriteThenFail(open(*a, **k), whole),
+            raising=False,
+        )
+        with pytest.raises(DataIOError):
+            writer(2, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
     @pytest.mark.parametrize(
         "writer",
         [_save_dataset, _save_checkpoint, _write_metrics_csv, _write_per_query_csv,
          _write_pr_csv, _write_manifest],
     )
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
-        path = tmp_path / "out.bin"
-        writer(1, path)
-        before = path.read_bytes()
-        monkeypatch.setattr(
-            vgd, "open", lambda *a, **k: _HalfWriteThenFail(open(*a, **k)), raising=False
-        )
-        with pytest.raises(DataIOError):
-            writer(2, path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+        self._fail_and_check(tmp_path, monkeypatch, writer, 0)
+
+    @pytest.mark.parametrize("writer", [_save_dataset, _save_checkpoint])
+    def test_failed_later_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        # the containers are written part by part: the fault comes on the
+        # fourth write, after the header and some blocks are in the temp file
+        self._fail_and_check(tmp_path, monkeypatch, writer, 3)
 
 
 class TestFailedRead:

@@ -15,7 +15,14 @@ import pytest
 from viewgraph.attention import attention_scores
 from viewgraph.dataio import ShapeSample
 from viewgraph.geometry import build_view_graph, default_viewpoints
-from viewgraph.model import TrainConfig, backward, forward, init_model, sample_loss
+from viewgraph.model import (
+    TrainConfig,
+    backward,
+    dense_gradient,
+    forward,
+    init_model,
+    sample_loss,
+)
 from viewgraph.trainer import GRAD_CHECK_FLOOR
 
 FLAGS = (
@@ -84,7 +91,7 @@ def check_directions(config, samples, params, rng):
             arr[...] = keep
             numeric = (up - down) / (2.0 * STEP)
             # a block backward leaves out has a zero gradient
-            analytic = float(np.vdot(grads[name], u)) if name in grads else 0.0
+            analytic = float(np.vdot(dense_gradient(grads[name]), u)) if name in grads else 0.0
             # the floor keeps FD noise on a zero gradient from passing as error
             errors[f"{name}/{k}"] = abs(numeric - analytic) / max(
                 abs(numeric), GRAD_CHECK_FLOOR

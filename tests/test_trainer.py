@@ -1,11 +1,13 @@
-"""SGD loop behavior: determinism, convergence, stopping, divergence guards."""
+"""SGD loop behavior: determinism, convergence, stopping, divergence guards,
+the row-blocked feature-layer update."""
 
 import numpy as np
 import pytest
 
+import viewgraph.trainer as vgt
 from viewgraph.dataio import generate_synthetic
 from viewgraph.evalmetrics import accuracy
-from viewgraph.model import BLOCK_NAMES, TrainConfig, init_model
+from viewgraph.model import BLOCK_NAMES, TrainConfig, backward, forward, init_model
 from viewgraph.trainer import grad_check, train
 
 
@@ -129,6 +131,55 @@ class TestGuards:
     def test_sigma_mismatch_is_ignored_when_similarities_are_unread(self, flag):
         ds = small_task()
         assert train(ds, small_config(epochs=1, sigma=4.0, **{flag: True})).epochs_run == 1
+
+
+class TestRowBlockedUpdate:
+    """The feature-layer update from its factors equals the dense
+    ``W -= (lr/B) * (g_pre.T @ flat)`` bit for bit."""
+
+    @staticmethod
+    def _factors(batch, feature_dim, n_patterns=4, **flags):
+        cfg = TrainConfig(num_classes=3, input_dim=5, views=3, n_patterns=n_patterns,
+                          feature_dim=feature_dim, **flags)
+        samples = generate_synthetic(3, 6, 3, 5, 0.3, 4).samples[:batch]
+        rng = np.random.default_rng([feature_dim, batch])
+        params = init_model(cfg, rng)
+        for _, arr in params.blocks():
+            arr[...] = rng.standard_normal(arr.shape)
+        g_pre, flat = backward(forward(samples, params, cfg), params, cfg).feat_weights
+        assert g_pre.shape == (batch, feature_dim) and flat.shape == (batch, cfg.descriptor_dim)
+        return params.cls.feat_weights, g_pre, flat
+
+    @staticmethod
+    def _assert_dense_bytes(weights, g_pre, flat, step):
+        grad = g_pre.T @ flat
+        grad *= step
+        # from zero weights every bit of the scaled product shows
+        for start in (weights, np.zeros_like(weights)):
+            want = start - grad
+            got = start.copy()
+            vgt._subtract_outer(got, g_pre, flat, step)
+            np.testing.assert_array_equal(got, want)
+
+    # Blocks of 4 rows: F = 3 fits in one block, F = 10 ends in a partial
+    # block of 2 rows, and F = 9's one-row remainder joins the block before it.
+    @pytest.mark.parametrize("batch", (1, 16))
+    @pytest.mark.parametrize("feature_dim", (3, 9, 10))
+    @pytest.mark.parametrize("flag", (None, "no_correlation", "mean_pool"))
+    def test_matches_dense_update(self, monkeypatch, flag, feature_dim, batch):
+        weights, g_pre, flat = self._factors(batch, feature_dim,
+                                             **({flag: True} if flag else {}))
+        monkeypatch.setattr(vgt, "UPDATE_BLOCK_BYTES", 4 * flat[0].nbytes)
+        self._assert_dense_bytes(weights, g_pre, flat, 0.03 / batch)
+
+    # K = 128^2 and the module's own block size of 16 rows: 40 rows end in a
+    # partial block of 8. 33 rows leave one, whose one-row product would take
+    # the GEMV path; at B = 2 that path rounds some of its sums differently.
+    @pytest.mark.parametrize("feature_dim,batch", ((40, 16), (33, 2)))
+    def test_matches_dense_update_at_paper_width(self, feature_dim, batch):
+        weights, g_pre, flat = self._factors(batch, feature_dim, n_patterns=128)
+        assert vgt.UPDATE_BLOCK_BYTES // flat[0].nbytes == 16
+        self._assert_dense_bytes(weights, g_pre, flat, 0.009 / batch)
 
 
 class TestGradCheck:
