@@ -55,12 +55,10 @@ def _setup_logging() -> None:
     log.propagate = False
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _hashes(args, *names) -> dict:
+    """A SHA-256 object per named input under ``--manifest`` (else none),
+    which the loader of that input feeds with the bytes it reads."""
+    return {name: hashlib.sha256() for name in names} if args.manifest else {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,12 +77,14 @@ def _software() -> dict:
 
 
 def _write_manifest(path, command: str, config, inputs: dict, outputs: list, seconds: float):
-    """Record what a run did: config, input hashes, outputs, wall time, the
-    software it ran on and the process's peak resident memory."""
+    """Record what a run did: config, inputs (name -> path and the hash of the
+    bytes the command read from it), outputs, wall time, the software it ran
+    on and the process's peak resident memory."""
     payload = {
         "command": command,
         "config": None if config is None else vars(config).copy(),
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in inputs.items()},
+        "inputs": {name: {"path": str(p), "sha256": digest.hexdigest()}
+                   for name, (p, digest) in inputs.items()},
         "outputs": [str(p) for p in outputs],
         "wall_seconds": seconds,
         # ru_maxrss is in KiB on Linux
@@ -147,7 +147,8 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         split=args.split,
     )
-    dataio.save(dataset, args.out)
+    hashes = _hashes(args, "dataset")
+    dataio.save(dataset, args.out, hashes.get("dataset"))
     log.info(
         "wrote %s: %d shapes, %d classes, %d views x %d dims",
         args.out, dataset.num_samples, dataset.num_classes,
@@ -155,7 +156,7 @@ def _cmd_synth(args) -> int:
     )
     if args.manifest:
         _write_manifest(
-            args.manifest, "synth", None, {"dataset": args.out}, [args.out],
+            args.manifest, "synth", None, {"dataset": (args.out, hashes["dataset"])}, [args.out],
             time.perf_counter() - started,
         )
     return 0
@@ -163,7 +164,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     started = time.perf_counter()
-    dataset = dataio.load(args.data, sigma=args.sigma)
+    hashes = _hashes(args, "data")
+    dataset = dataio.load(args.data, sigma=args.sigma, digest=hashes.get("data"))
     config = _config_from_args(args, num_classes=dataset.num_classes,
                                views=dataset.views, input_dim=dataset.feature_dim)
     resume = None
@@ -209,21 +211,22 @@ def _cmd_train(args) -> int:
     outputs = [args.out] + ([args.log_file] if args.log_file else [])
     if args.manifest:
         _write_manifest(
-            args.manifest, "train", config, {"data": args.data}, outputs,
+            args.manifest, "train", config, {"data": (args.data, hashes["data"])}, outputs,
             time.perf_counter() - started,
         )
     return 0
 
 
-def _load_model_and_data(model_path, data_path):
-    params, config = load_checkpoint(model_path)
-    dataset = dataio.load(data_path, sigma=config.sigma)
+def _load_model_and_data(model_path, data_path, hashes: dict):
+    params, config = load_checkpoint(model_path, hashes.get("model"))
+    dataset = dataio.load(data_path, sigma=config.sigma, digest=hashes.get("data"))
     return params, config, dataset
 
 
 def _cmd_eval(args) -> int:
     started = time.perf_counter()
-    params, config, dataset = _load_model_and_data(args.model, args.data)
+    hashes = _hashes(args, "model", "data")
+    params, config, dataset = _load_model_and_data(args.model, args.data, hashes)
     trace = infer(dataset.samples, params, config, "logits", "probs", "labels")
     summary = {
         "num_samples": dataset.num_samples,
@@ -235,7 +238,7 @@ def _cmd_eval(args) -> int:
     if args.manifest:
         _write_manifest(
             args.manifest, "eval", config,
-            {"model": args.model, "data": args.data}, [],
+            {name: (getattr(args, name), digest) for name, digest in hashes.items()}, [],
             time.perf_counter() - started,
         )
     return 0
@@ -243,10 +246,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     started = time.perf_counter()
-    params, config, dataset = _load_model_and_data(args.model, args.data)
+    hashes = _hashes(args, "model", "data", *(["gallery"] if args.gallery else []))
+    params, config, dataset = _load_model_and_data(args.model, args.data, hashes)
     features = predict_features(params, config, dataset)
     if args.gallery:
-        gallery = dataio.load(args.gallery, sigma=config.sigma)
+        gallery = dataio.load(args.gallery, sigma=config.sigma, digest=hashes.get("gallery"))
         gallery_features = predict_features(params, config, gallery)
         run = evalmetrics.RetrievalRun(
             features, dataset.labels, gallery_features, gallery.labels,
@@ -276,9 +280,7 @@ def _cmd_retrieve(args) -> int:
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     if args.manifest:
-        inputs = {"model": args.model, "data": args.data}
-        if args.gallery:
-            inputs["gallery"] = args.gallery
+        inputs = {name: (getattr(args, name), digest) for name, digest in hashes.items()}
         _write_manifest(
             args.manifest, "retrieve", config, inputs, outputs,
             time.perf_counter() - started,
@@ -313,7 +315,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attention_dump(args) -> int:
-    params, config, dataset = _load_model_and_data(args.model, args.data)
+    params, config, dataset = _load_model_and_data(args.model, args.data, {})
     if config.pooled_mode:
         raise ViewGraphError("pooled models have no attention weights to dump")
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]

@@ -109,11 +109,14 @@ def validate_dataset(dataset: Dataset) -> None:
 class _Reader:
     """Front-to-back reader of an open container file. Each count is checked
     against the bytes left (``os.fstat``) before anything is read or
-    allocated: a short file is a DataIOError, never a short read."""
+    allocated: a short file is a DataIOError, never a short read. Every byte
+    read also goes into ``digest`` (a hashlib object) when one is given, so
+    after ``finish`` it holds the hash of the whole file as read."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, digest=None):
         self.fh = fh
         self.left = os.fstat(fh.fileno()).st_size
+        self.digest = digest
 
     def take(self, count: int, what: str) -> bytes:
         return self.array(np.uint8, count, what).tobytes()
@@ -152,6 +155,8 @@ class _Reader:
         out = np.empty(count, dtype)
         if self.fh.readinto(out) != nbytes:
             raise DataIOError(f"file truncated while reading {what}")
+        if self.digest is not None:
+            self.digest.update(out)
         return out
 
     def finish(self) -> None:
@@ -160,23 +165,24 @@ class _Reader:
 
 
 @contextlib.contextmanager
-def read_container(path, what: str):
-    """A _Reader over ``path``; an OSError while reading is a DataIOError
-    naming ``what`` and the path."""
+def read_container(path, what: str, digest=None):
+    """A _Reader over ``path`` that feeds ``digest``; an OSError while reading
+    is a DataIOError naming ``what`` and the path."""
     try:
         with open(path, "rb") as fh:
-            yield _Reader(fh)
+            yield _Reader(fh, digest)
     except OSError as exc:
         raise DataIOError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def write_atomic(path, parts, what: str) -> None:
+def write_atomic(path, parts, what: str, digest=None) -> None:
     """Replace ``path`` with the bytes-like ``parts``, written in order, so that
     readers see the old or the new bytes.
 
     Each part (bytes, or an array through the buffer protocol) is one write to
     a temporary file beside the target, which is then renamed over it; a
-    process killed mid-write leaves the previous file untouched.
+    process killed mid-write leaves the previous file untouched. Each part
+    also goes into ``digest`` (a hashlib object) when one is given.
     Raises DataIOError, naming ``what`` (say "dataset") in the message.
     """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
@@ -184,6 +190,8 @@ def write_atomic(path, parts, what: str) -> None:
         with open(tmp, "xb") as fh:
             for part in parts:
                 fh.write(part)
+                if digest is not None:
+                    digest.update(part)
         os.replace(tmp, path)
     except OSError as exc:
         raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
@@ -199,8 +207,9 @@ def write_csv(path, rows, what: str) -> None:
     write_atomic(path, [text.getvalue().encode()], what)
 
 
-def save(dataset: Dataset, path) -> None:
-    """Write the dataset container atomically; bytes are deterministic per content."""
+def save(dataset: Dataset, path, digest=None) -> None:
+    """Write the dataset container atomically; bytes are deterministic per
+    content. The bytes written also go into ``digest`` when one is given."""
     validate_dataset(dataset)
     views = dataset.views
     shared = all(
@@ -234,16 +243,18 @@ def save(dataset: Dataset, path) -> None:
     for s in dataset.samples:
         parts.append(struct.pack("<I", s.label))
         parts.append(np.ascontiguousarray(s.features, dtype="<f4"))
-    write_atomic(path, parts, "dataset")
+    write_atomic(path, parts, "dataset", digest)
 
 
-def load(path, sigma: float = DEFAULT_SIGMA) -> Dataset:
+def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
     """Read and validate a dataset container, building graphs at ``sigma``.
 
     The directions and the sample records are each read straight into one
-    array; a sample's features are a view of the records.
+    array; a sample's features are a view of the records. The graphs of all
+    rigs are built in one call. Every byte read goes into ``digest`` when
+    one is given.
     """
-    with read_container(path, "dataset") as r:
+    with read_container(path, "dataset", digest) as r:
         r.header(DATASET_MAGIC, (DATASET_VERSION,), "dataset")
         num_classes = r.u32("class count")
         views = r.u32("view count")
@@ -265,13 +276,12 @@ def load(path, sigma: float = DEFAULT_SIGMA) -> Dataset:
         r.finish()
     records = records.view([("label", "<u4"), ("features", "<f4", (views, feature_dim))])
 
-    graphs = []
-    for i, rig in enumerate(dirs.reshape(rigs, views, 3)):
-        try:
-            graphs.append(build_view_graph(rig, sigma))
-        except ValueError as exc:
-            what = f"directions of sample {i}" if per_shape else "shared directions"
-            raise ValidationError(f"{what}: {exc}") from exc
+    try:
+        graphs = build_view_graph(dirs.reshape(rigs, views, 3), sigma)
+    except ValueError as exc:
+        rig = getattr(exc, "rig", 0)  # a bad sigma is the first rig's error
+        what = f"directions of sample {rig}" if per_shape else "shared directions"
+        raise ValidationError(f"{what}: {exc}") from exc
     graphs *= num_samples // rigs  # one graph per rig, shared by its samples
     samples = [
         ShapeSample(label=int(label), features=feats, graph=graph)

@@ -126,41 +126,67 @@ def default_viewpoints(num_views: int) -> np.ndarray:
     return np.ascontiguousarray(points[order])
 
 
-def build_view_graph(directions: np.ndarray, sigma: float) -> ViewGraph:
-    """Build the fully connected view graph for a set of unit directions.
+class DirectionError(ValueError):
+    """A direction too far from unit norm; ``rig`` is the index of its rig in
+    a stacked build (0 for a single rig)."""
 
-    Directions within ``DIRECTION_NORM_TOL`` of unit norm are renormalized;
-    anything further off is rejected. The similarity matrix is symmetric by
-    construction with an exactly-unit diagonal (the self-pair has edge
-    length zero and is kept: downstream cumulative sums include it).
+    def __init__(self, message: str, rig: int):
+        super().__init__(message)
+        self.rig = rig
+
+
+def build_view_graph(directions: np.ndarray, sigma: float) -> ViewGraph | list[ViewGraph]:
+    """Build the fully connected view graph of one rig, or of a stack of rigs.
+
+    ``directions`` is (V, 3), which gives one ViewGraph, or (M, V, 3), which
+    gives a list of M ViewGraphs built in one pass; their arrays are read-only
+    views of the stacked arrays. Directions within ``DIRECTION_NORM_TOL`` of
+    unit norm are renormalized; anything further off is a DirectionError
+    naming the worst direction (NaN counts as worst) of the first bad rig.
+    The similarity matrix is symmetric by construction with an exactly-unit
+    diagonal (the self-pair has edge length zero and is kept: downstream
+    cumulative sums include it).
     """
     directions = np.asarray(directions, dtype=np.float64)
-    if directions.ndim != 2 or directions.shape[1] != 3:
-        raise ValueError(f"directions must be (V, 3), got shape {directions.shape}")
-    if directions.shape[0] < 1:
+    if directions.ndim not in (2, 3) or directions.shape[-1] != 3:
+        raise ValueError(
+            f"directions must be (V, 3) or (M, V, 3), got shape {directions.shape}"
+        )
+    stack = directions[None] if directions.ndim == 2 else directions
+    rigs, views = stack.shape[:2]
+    if views < 1:
         raise ValueError("need at least one direction")
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.linalg.norm(directions, axis=1)
+        norms = np.linalg.norm(stack, axis=-1)
     off = np.abs(norms - 1.0)
     # not-all-within rather than any-outside, so NaN norms are rejected too
-    if not np.all(off <= DIRECTION_NORM_TOL):
-        bad = int(np.argmax(np.where(np.isnan(off), np.inf, off)))
-        raise ValueError(
-            f"direction {bad} is not unit norm (|v| = {norms[bad]:.9g})"
+    within = np.all(off <= DIRECTION_NORM_TOL, axis=-1)
+    if not within.all():
+        rig = int(np.argmin(within))
+        bad = int(np.argmax(np.where(np.isnan(off[rig]), np.inf, off[rig])))
+        raise DirectionError(
+            f"direction {bad} is not unit norm (|v| = {norms[rig, bad]:.9g})", rig
         )
-    unit = directions / norms[:, None]
+    unit = stack / norms[..., None]
 
-    cos = np.clip(unit @ unit.T, -1.0, 1.0)
-    edges = np.clip(0.5 * (1.0 - cos), 0.0, 1.0)
-    np.fill_diagonal(edges, 0.0)
-    sim = np.exp(-sigma * edges)
-    # Mirror the upper triangle so symmetry holds bit-for-bit.
-    sim = np.triu(sim) + np.triu(sim, 1).T
-    np.fill_diagonal(sim, 1.0)
+    # One clip of the edge length is enough: rounding is monotone, so a
+    # cosine just outside [-1, 1] gives an edge just outside [0, 1].
+    sim = unit @ unit.swapaxes(-1, -2)
+    np.subtract(1.0, sim, out=sim)
+    sim *= 0.5
+    np.clip(sim, 0.0, 1.0, out=sim)
+    sim *= -sigma
+    # exp above the diagonal only; mirroring it makes symmetry hold
+    # bit-for-bit, and the diagonal is set to exactly one.
+    lower = np.tri(views, dtype=bool)
+    np.exp(sim, out=sim, where=~lower)
+    np.copyto(sim, sim.swapaxes(-1, -2), where=lower)
+    sim.reshape(rigs, views * views)[:, :: views + 1] = 1.0
 
-    out = ViewGraph(directions=unit, similarity=sim, sigma=float(sigma))
-    out.directions.setflags(write=False)
-    out.similarity.setflags(write=False)
-    return out
+    unit.setflags(write=False)
+    sim.setflags(write=False)
+    graphs = [ViewGraph(directions=u, similarity=s, sigma=float(sigma))
+              for u, s in zip(unit, sim)]
+    return graphs[0] if directions.ndim == 2 else graphs

@@ -470,11 +470,11 @@ def _check_config_types(cfg_dict: dict) -> None:
             )
 
 
-def load_checkpoint(path) -> tuple[ModelParams, TrainConfig]:
+def load_checkpoint(path, digest=None) -> tuple[ModelParams, TrainConfig]:
     """Read a checkpoint back; raises FormatError/DataIOError on damage.
     The payload is read once into one float64 array, and each block is a view
-    of it."""
-    with read_container(path, "checkpoint") as r:
+    of it. Every byte read goes into ``digest`` when one is given."""
+    with read_container(path, "checkpoint", digest) as r:
         version = r.header(CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION), "checkpoint")
         blob = r.take(r.u32("config length"), "config block")
         try:

@@ -197,6 +197,22 @@ def naive_shrec(
     return rows, micro, macro
 
 
+def reference_view_graph(directions, sigma):
+    """One rig's (unit directions, similarity), step by step as the view
+    graph was first built: renormalize, clip the cosine and the edge length,
+    zero the diagonal edge, exponentiate, mirror the upper triangle, unit
+    diagonal. Inputs are taken as valid (near-unit directions, sigma >= 0)."""
+    norms = np.linalg.norm(directions, axis=1)
+    unit = directions / norms[:, None]
+    cos = np.clip(unit @ unit.T, -1.0, 1.0)
+    edges = np.clip(0.5 * (1.0 - cos), 0.0, 1.0)
+    np.fill_diagonal(edges, 0.0)
+    sim = np.exp(-sigma * edges)
+    sim = np.triu(sim) + np.triu(sim, 1).T
+    np.fill_diagonal(sim, 1.0)
+    return unit, sim
+
+
 # -- dense per-shape model ----------------------------------------------------
 #
 # The network as first written: one shape at a time, every node's (N, N)

@@ -4,13 +4,14 @@ import filecmp
 import hashlib
 import json
 import math
+import pathlib
 import platform
 import struct
 
 import numpy as np
 import pytest
 
-from viewgraph import dataio, evalmetrics
+from viewgraph import cli, dataio, evalmetrics
 from viewgraph.cli import build_parser, main
 from viewgraph.model import BLOCK_NAMES, TrainConfig, load_checkpoint
 
@@ -332,6 +333,54 @@ class TestRetrieveCommand:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestManifestHashes:
+    """Each manifest input hash is the SHA-256 of the bytes the command read."""
+
+    @staticmethod
+    def file_hash(path) -> str:
+        return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+
+    def test_every_input_hash_is_the_file_hash(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        gallery = make_dataset(tmp_path / "g.3dvgd", seed=9, split="gallery")
+        model = train_model(data, tmp_path / "m.3dvgm", "--manifest", str(tmp_path / "train.json"))
+        runs = {
+            "eval": (["eval"], {"model", "data"}),
+            "retrieve": (["retrieve"], {"model", "data"}),
+            "gallery": (["retrieve", "--gallery", str(gallery)], {"model", "data", "gallery"}),
+        }
+        for name, (command, _) in runs.items():
+            assert main([*command, "--model", str(model), "--data", str(data),
+                         "--manifest", str(tmp_path / f"{name}.json")]) == 0
+        capsys.readouterr()
+        runs["train"] = ([], {"data"})
+        for name, (_, expected) in runs.items():
+            inputs = json.loads((tmp_path / f"{name}.json").read_text())["inputs"]
+            assert set(inputs) == expected
+            for entry in inputs.values():
+                assert entry["sha256"] == self.file_hash(entry["path"])
+
+    def test_checkpoint_replaced_after_load_keeps_the_hash_of_the_bytes_read(
+            self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        model = train_model(data, tmp_path / "m.3dvgm")
+        other = train_model(data, tmp_path / "other.3dvgm", seed=2)
+        read = self.file_hash(model)
+        infer = cli.infer
+
+        def replace_then_infer(*args, **kwargs):
+            model.write_bytes(other.read_bytes())
+            return infer(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "infer", replace_then_infer)
+        manifest = tmp_path / "eval.json"
+        assert main(["eval", "--model", str(model), "--data", str(data),
+                     "--manifest", str(manifest)]) == 0
+        capsys.readouterr()
+        recorded = json.loads(manifest.read_text())["inputs"]["model"]["sha256"]
+        assert recorded == read != self.file_hash(model)
 
 
 class TestGradcheckCommand:

@@ -22,7 +22,7 @@ from viewgraph.dataio import (
     validate_dataset,
 )
 from viewgraph.errors import DataIOError, FormatError, ValidationError
-from viewgraph.geometry import build_view_graph, default_viewpoints
+from viewgraph.geometry import ViewGraph, build_view_graph, default_viewpoints
 from viewgraph.model import TrainConfig, init_model, load_checkpoint, save_checkpoint
 
 
@@ -345,6 +345,48 @@ class TestLoaderErrors:
         struct.pack_into("<d", data, header_end, 9.0)
         path.write_bytes(bytes(data))
         with pytest.raises(ValidationError):
+            load(path)
+
+    def _per_shape_file(self, tmp_path, bad):
+        """A five-sample file with one rig per sample; ``bad`` maps
+        (sample, direction) to the vector written in its place."""
+        rigs = np.random.default_rng(3).standard_normal((5, 6, 3))
+        rigs /= np.linalg.norm(rigs, axis=2, keepdims=True)
+        for (k, j), vector in bad.items():
+            rigs[k, j] = vector
+        samples = [ShapeSample(label=k % 2, features=np.zeros((6, 2), np.float32),
+                               graph=ViewGraph(rig, np.eye(6), 10.0))
+                   for k, rig in enumerate(rigs)]
+        path = tmp_path / "per-shape.3dvgd"
+        save(Dataset(samples, ["a", "b"]), path)
+        return path
+
+    def test_per_shape_off_unit_direction_names_sample_and_direction(self, tmp_path):
+        path = self._per_shape_file(tmp_path, {(3, 2): [0.0, 1.5, 0.0]})
+        with pytest.raises(ValidationError, match=re.escape(
+                "directions of sample 3: direction 2 is not unit norm (|v| = 1.5)")):
+            load(path)
+
+    def test_per_shape_nan_direction_names_sample_and_direction(self, tmp_path):
+        path = self._per_shape_file(tmp_path, {(2, 1): [0.0, 0.0, 1.2],
+                                               (2, 4): [np.nan, 0.0, 1.0]})
+        with pytest.raises(ValidationError, match=re.escape(
+                "directions of sample 2: direction 4 is not unit norm (|v| = nan)")):
+            load(path)
+
+    def test_per_shape_first_bad_sample_in_file_order_is_named(self, tmp_path):
+        path = self._per_shape_file(tmp_path, {(1, 5): [1.1, 0.0, 0.0],
+                                               (4, 0): [9.0, 0.0, 0.0]})
+        with pytest.raises(ValidationError, match=re.escape(
+                "directions of sample 1: direction 5 is not unit norm (|v| = 1.1)")):
+            load(path)
+
+    def test_shared_rig_error_names_the_shared_directions(self, tmp_path):
+        path, data = self._valid_bytes(tmp_path)
+        header_end = 6 + 4 + 17 + (2 + 5) + (2 + 7) + (2 + 7)
+        struct.pack_into("<d", data, header_end + 24, 9.0)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValidationError, match=r"^shared directions: direction 1 is not"):
             load(path)
 
     def test_missing_file(self, tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import reference_view_graph
 from viewgraph.geometry import (
+    DirectionError,
     ViewGraph,
     build_view_graph,
     default_viewpoints,
@@ -210,3 +212,78 @@ class TestBuildViewGraph:
         assert isinstance(graph, ViewGraph)
         assert graph.num_views == 6
         assert graph.sigma == 4.5
+
+
+def rotated_rigs(views, count, seed):
+    """``count`` random rotations of the default rig of ``views`` views."""
+    rng = np.random.default_rng(seed)
+    rotations, _ = np.linalg.qr(rng.standard_normal((count, 3, 3)))
+    return default_viewpoints(views) @ rotations.swapaxes(1, 2)
+
+
+class TestStackedBuild:
+    """A stack of rigs is built in one pass, and every graph in it is
+    bit-identical to the rig-by-rig reference."""
+
+    @pytest.mark.parametrize("renormalized", [False, True])
+    @pytest.mark.parametrize("sigma", [0.0, 10.0, 2.5])
+    @pytest.mark.parametrize("views", [20, 12])
+    def test_every_graph_equals_the_reference(self, views, sigma, renormalized):
+        rigs = rotated_rigs(views, 500, seed=views)
+        if renormalized:
+            scale = np.random.default_rng(1).choice([1 - 5e-7, 1 + 5e-7], (500, views, 1))
+            rigs = rigs * scale
+        graphs = build_view_graph(rigs, sigma)
+        assert len(graphs) == 500
+        for rig, graph in zip(rigs, graphs):
+            unit, sim = reference_view_graph(rig, sigma)
+            np.testing.assert_array_equal(graph.directions, unit)
+            np.testing.assert_array_equal(graph.similarity, sim)
+            assert graph.sigma == sigma
+        # one rig alone, as (V, 3) and as a stack of one, gives the same graph
+        for rig, graph in zip(rigs[:5], graphs):
+            single = build_view_graph(rig, sigma)
+            (stacked,) = build_view_graph(rig[None], sigma)
+            for other in (single, stacked):
+                np.testing.assert_array_equal(other.directions, graph.directions)
+                np.testing.assert_array_equal(other.similarity, graph.similarity)
+
+    @pytest.mark.parametrize("views", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 10.0, 2.5])
+    def test_one_and_two_views(self, views, sigma):
+        raw = np.random.default_rng(views).standard_normal((50, views, 3))
+        rigs = raw / np.linalg.norm(raw, axis=2, keepdims=True)
+        for rig, graph in zip(rigs, build_view_graph(rigs, sigma)):
+            unit, sim = reference_view_graph(rig, sigma)
+            np.testing.assert_array_equal(graph.directions, unit)
+            np.testing.assert_array_equal(graph.similarity, sim)
+
+    def test_arrays_are_read_only(self):
+        for graph in build_view_graph(rotated_rigs(12, 3, seed=0), 10.0):
+            for arr in (graph.directions, graph.similarity):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 0.5
+        single = build_view_graph(default_viewpoints(12), 10.0)
+        assert not single.directions.flags.writeable
+        assert not single.similarity.flags.writeable
+
+    def test_first_bad_rig_and_its_worst_direction_are_named(self):
+        rigs = rotated_rigs(6, 5, seed=2)
+        rigs[2, 1] *= 1.1
+        rigs[2, 4, 0] = np.nan  # NaN counts as the worst direction
+        rigs[4, 0] *= 9.0  # worse, but in a later rig
+        with pytest.raises(DirectionError, match=r"^direction 4 is not unit norm") as info:
+            build_view_graph(rigs, 10.0)
+        assert info.value.rig == 2
+        with pytest.raises(DirectionError, match=r"direction 0 .*\(\|v\| = 9\)") as info:
+            build_view_graph(rigs[4], 10.0)
+        assert info.value.rig == 0
+
+    def test_empty_stack_and_bad_shapes(self):
+        assert build_view_graph(np.zeros((0, 4, 3)), 1.0) == []
+        for shape in ((3,), (2, 4), (2, 3, 4), (1, 1, 2, 3)):
+            with pytest.raises(ValueError, match="directions must be"):
+                build_view_graph(np.ones(shape), 1.0)
+        with pytest.raises(ValueError, match="at least one"):
+            build_view_graph(np.ones((2, 0, 3)), 1.0)
