@@ -164,13 +164,13 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     started = time.perf_counter()
-    hashes = _hashes(args, "data")
+    hashes = _hashes(args, "data", *(["resume"] if args.resume else []))
     dataset = dataio.load(args.data, sigma=args.sigma, digest=hashes.get("data"))
     config = _config_from_args(args, num_classes=dataset.num_classes,
                                views=dataset.views, input_dim=dataset.feature_dim)
     resume = None
     if args.resume:
-        resume, resume_cfg = load_checkpoint(args.resume)
+        resume, resume_cfg = load_checkpoint(args.resume, hashes.get("resume"))
         log.info("resuming from %s (trained with seed %d)", args.resume, resume_cfg.seed)
 
     log_fh = open(args.log_file, "w") if args.log_file else None
@@ -211,7 +211,8 @@ def _cmd_train(args) -> int:
     outputs = [args.out] + ([args.log_file] if args.log_file else [])
     if args.manifest:
         _write_manifest(
-            args.manifest, "train", config, {"data": (args.data, hashes["data"])}, outputs,
+            args.manifest, "train", config,
+            {name: (getattr(args, name), digest) for name, digest in hashes.items()}, outputs,
             time.perf_counter() - started,
         )
     return 0
@@ -244,22 +245,29 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _split_features(params, config, path, digest) -> tuple[np.ndarray, np.ndarray]:
+    """Global features and labels of one dataset file; the dataset is freed
+    on return."""
+    dataset = dataio.load(path, sigma=config.sigma, digest=digest)
+    return predict_features(params, config, dataset), dataset.labels
+
+
+def _retrieval_run(args, hashes: dict):
+    """The retrieval run of ``args`` and the model's config. Only features
+    and labels outlive this call: the model and the datasets are freed
+    before anything is ranked."""
+    params, config = load_checkpoint(args.model, hashes.get("model"))
+    queries = _split_features(params, config, args.data, hashes.get("data"))
+    if not args.gallery:
+        return evalmetrics.RetrievalRun.self_retrieval(*queries, distance=args.distance), config
+    gallery = _split_features(params, config, args.gallery, hashes.get("gallery"))
+    return evalmetrics.RetrievalRun(*queries, *gallery, distance=args.distance), config
+
+
 def _cmd_retrieve(args) -> int:
     started = time.perf_counter()
     hashes = _hashes(args, "model", "data", *(["gallery"] if args.gallery else []))
-    params, config, dataset = _load_model_and_data(args.model, args.data, hashes)
-    features = predict_features(params, config, dataset)
-    if args.gallery:
-        gallery = dataio.load(args.gallery, sigma=config.sigma, digest=hashes.get("gallery"))
-        gallery_features = predict_features(params, config, gallery)
-        run = evalmetrics.RetrievalRun(
-            features, dataset.labels, gallery_features, gallery.labels,
-            distance=args.distance,
-        )
-    else:
-        run = evalmetrics.RetrievalRun.self_retrieval(
-            features, dataset.labels, distance=args.distance
-        )
+    run, config = _retrieval_run(args, hashes)
     report = evalmetrics.shrec_metrics(run, cutoff=args.cutoff)
     outputs = []
     if args.metrics_csv:

@@ -1,8 +1,9 @@
 """Classification accuracy and retrieval evaluation on global shape features.
 
 Retrieval works on Euclidean distances between global feature vectors. A
-ranked list per query is produced once and every metric is computed from
-it, so precision/recall/F1 at a cutoff, average precision, NDCG, and the
+ranked list per query is produced once and reduced to the depths of its
+relevant items (``RetrievalRun.hits``); every metric is computed from those
+depths, so precision/recall/F1 at a cutoff, average precision, NDCG, and the
 interpolated precision-recall curve all agree on ordering and tie handling:
 equal distances rank by ascending gallery index.
 
@@ -15,7 +16,7 @@ bit-identical results, not merely close ones.
 import math
 from dataclasses import astuple, dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -34,6 +35,31 @@ def accuracy(params, config, dataset) -> float:
 
 
 DISTANCES = ("euclidean", "cosine")
+
+
+class Hits(NamedTuple):
+    """The relevant items of each query's ranked list, row after row: row
+    ``q``'s hits are ``depths[starts[q]:starts[q + 1]]``, nearest first."""
+
+    depths: np.ndarray  # 1-based list depth of each hit, int64
+    precisions: np.ndarray  # precision at each hit's depth, float64
+    starts: np.ndarray  # (rows + 1,) int64 offsets into the two arrays above
+
+
+def _hit_depths(relevant) -> Hits:
+    """``Hits`` of a (rows, list length) bool relevance matrix."""
+    relevant = np.asarray(relevant, dtype=bool)
+    counts = np.count_nonzero(relevant, axis=1)
+    starts = np.zeros(len(relevant) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    depths = np.flatnonzero(relevant)
+    depths %= relevant.shape[1]
+    depths += 1
+    # The hit's 1-based number within its row (exact in float64), over its depth.
+    precisions = np.arange(1.0, depths.size + 1)
+    precisions -= np.repeat(starts[:-1], counts)
+    precisions /= depths
+    return Hits(depths, precisions, starts)
 
 
 @dataclass
@@ -82,9 +108,10 @@ class RetrievalRun:
         return self.query_features.shape[0]
 
     @cached_property
-    def ranking(self) -> tuple[np.ndarray, np.ndarray]:
-        """``rank_gallery(self)``, computed on first use and kept."""
-        return rank_gallery(self)
+    def hits(self) -> Hits:
+        """``_hit_depths`` of ``rank_gallery(self)``'s relevance, computed on
+        first use and kept; the (queries, list length) ranking is not."""
+        return _hit_depths(rank_gallery(self)[1])
 
 
 def distance_matrix(
@@ -190,8 +217,8 @@ def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(ranked, relevant)``: ranked is (queries, list length) int64,
     nearest first, with equal exact distances in ascending gallery index;
     relevant is the matching bool array. List length is the gallery size,
-    minus one under ``exclude_self``. Metrics read the ranking through
-    ``run.ranking``, which computes it once per run.
+    minus one under ``exclude_self``. Metrics read its hit depths through
+    ``run.hits``, which ranks once per run.
 
     The order is the one ``distance_matrix`` gives, computed from one GEMM
     per block of queries and repaired exactly where rounding could swap two
@@ -220,10 +247,26 @@ def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
     return ranked, relevant
 
 
-def _hit_precisions(relevant_row) -> np.ndarray:
-    """Precision at each relevant depth of a ranked list, nearest first."""
-    depths = np.flatnonzero(relevant_row) + 1
-    return np.arange(1, depths.size + 1) / depths
+def _average_precisions(hits: Hits) -> list:
+    """AP of every row: the mean precision at its hits, 0 for a row without any."""
+    bounds = hits.starts.tolist()
+    return [math.fsum(hits.precisions[lo:hi].tolist()) / (hi - lo) if hi > lo else 0.0
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _ndcgs(hits: Hits, cutoffs: np.ndarray, length: int) -> tuple[np.ndarray, list]:
+    """Each row's number of hits within its first ``cutoff`` items, and its
+    binary-gain NDCG over them; every cutoff is at most ``length``."""
+    discounts = _discounts(length)
+    bounds = hits.starts.tolist()
+    within, ndcgs = [], []
+    for lo, hi, k in zip(bounds, bounds[1:], cutoffs.tolist()):
+        found = hits.depths[lo:hi]
+        found = found[:found.searchsorted(k, side="right")]
+        within.append(found.size)
+        ndcgs.append(math.fsum(discounts[found - 1].tolist()) / _ideal_dcg(min(hi - lo, k))
+                     if found.size else 0.0)
+    return np.array(within, dtype=np.int64), ndcgs
 
 
 def average_precision(relevant_row) -> float:
@@ -231,16 +274,12 @@ def average_precision(relevant_row) -> float:
 
     A list with no relevant items scores 0.
     """
-    precisions = _hit_precisions(relevant_row)
-    if precisions.size == 0:
-        return 0.0
-    return math.fsum(precisions) / precisions.size
+    return _average_precisions(_hit_depths([relevant_row]))[0]
 
 
 def mean_average_precision(run: RetrievalRun) -> float:
     """Mean AP over all queries; zero-relevant queries count as 0."""
-    _, relevant = run.ranking
-    return math.fsum(average_precision(row) for row in relevant) / run.num_queries
+    return math.fsum(_average_precisions(run.hits)) / run.num_queries
 
 
 @lru_cache(maxsize=None)
@@ -257,14 +296,9 @@ def _ideal_dcg(depth: int) -> float:
 
 def ndcg_at(relevant_row, k: int) -> float:
     """Binary-gain NDCG with a log2 position discount, over the first k."""
-    if k <= 0:
-        return 0.0
-    total = int(np.count_nonzero(relevant_row))
-    if total == 0:
-        return 0.0
-    hits = np.flatnonzero(relevant_row[:k])
-    dcg = math.fsum(_discounts(min(k, len(relevant_row)))[hits])
-    return dcg / _ideal_dcg(min(total, k))
+    length = len(relevant_row)
+    _, [ndcg] = _ndcgs(_hit_depths([relevant_row]), np.array([min(k, length)]), length)
+    return ndcg
 
 
 @dataclass
@@ -305,6 +339,11 @@ def _mean_summary(rows: list) -> MetricSummary:
     return MetricSummary(*(math.fsum(col) / len(rows) for col in zip(*rows)))
 
 
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` elementwise, 0 where ``den`` is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den > 0)
+
+
 def shrec_metrics(run: RetrievalRun, cutoff: Optional[int] = None) -> RetrievalReport:
     """Precision/recall/F1/NDCG at a cutoff plus AP, per query and averaged.
 
@@ -317,38 +356,22 @@ def shrec_metrics(run: RetrievalRun, cutoff: Optional[int] = None) -> RetrievalR
     """
     if cutoff is not None and cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    ranked, relevant = run.ranking
-    list_len = ranked.shape[1]
-    per_query = []
-    for qi in range(run.num_queries):
-        row = relevant[qi]
-        label = int(run.query_labels[qi])
-        total = int(np.count_nonzero(row))
-        if cutoff is None:
-            k = int(np.count_nonzero(run.gallery_labels == label))
-        else:
-            k = cutoff
-        k = min(k, list_len)
-        hits = int(np.count_nonzero(row[:k]))
-        precision = hits / k if k > 0 else 0.0
-        recall = hits / total if total > 0 else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall > 0
-            else 0.0
-        )
-        per_query.append(
-            QueryMetrics(
-                query=qi,
-                label=label,
-                cutoff=k,
-                precision=precision,
-                recall=recall,
-                f1=f1,
-                ap=average_precision(row),
-                ndcg=ndcg_at(row, k),
-            )
-        )
+    hits = run.hits
+    length = run.gallery_features.shape[0] - run.exclude_self
+    if cutoff is None:
+        classes, counts = np.unique(run.gallery_labels, return_counts=True)
+        population = dict(zip(classes.tolist(), counts.tolist()))
+        cutoffs = np.array([min(population.get(label, 0), length)
+                            for label in run.query_labels.tolist()], dtype=np.int64)
+    else:
+        cutoffs = np.full(run.num_queries, min(cutoff, length), dtype=np.int64)
+    within, ndcgs = _ndcgs(hits, cutoffs, length)
+    precision = _ratio(within, cutoffs)
+    recall = _ratio(within, np.diff(hits.starts))
+    f1 = _ratio(2.0 * precision * recall, precision + recall)
+    columns = (run.query_labels.tolist(), cutoffs.tolist(), precision.tolist(),
+               recall.tolist(), f1.tolist(), _average_precisions(hits), ndcgs)
+    per_query = [QueryMetrics(qi, *row) for qi, row in enumerate(zip(*columns))]
     scores = [(r.precision, r.recall, r.f1, r.ap, r.ndcg) for r in per_query]
     class_means = [
         astuple(_mean_summary([s for s, r in zip(scores, per_query) if r.label == label]))
@@ -367,22 +390,22 @@ def pr_curve(run: RetrievalRun, points: int = 21) -> tuple[np.ndarray, np.ndarra
     """
     if points < 2:
         raise ValueError(f"need at least 2 grid points, got {points}")
-    _, relevant = run.ranking
+    hits = run.hits
     # Grid point t is exactly t/(points-1), correctly rounded, as is every
     # hit recall k/n, so the threshold comparisons are reproducible.
     grid = np.arange(points) / (points - 1)
     table = np.zeros((run.num_queries, points))
-    for qi, row in enumerate(relevant):
-        precisions = _hit_precisions(row)
-        n = precisions.size
+    bounds = hits.starts.tolist()
+    for qi, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        n = hi - lo
         if n == 0:
             continue
         # Recall rises only at hits, and precision falls between them, so
         # the best precision at recall >= r is the best over the hits from
         # the first one reaching r on. The last hit has recall exactly 1.
-        best = np.maximum.accumulate(precisions[::-1])[::-1]
+        best = np.maximum.accumulate(hits.precisions[lo:hi][::-1])[::-1]
         table[qi] = best[np.searchsorted(np.arange(1, n + 1) / n, grid)]
-    precisions = np.array([math.fsum(col) / run.num_queries for col in table.T])
+    precisions = np.array([math.fsum(col) / run.num_queries for col in table.T.tolist()])
     return grid, precisions
 
 

@@ -29,9 +29,7 @@ def softmax_grad(output: np.ndarray, grad_output: np.ndarray, axis: int = -1) ->
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically safe logistic function, exact at large |x| (saturates to 0/1)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
     pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; NaN takes the x < 0 branch and keeps its sign.
+    e = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -61,6 +61,21 @@ def naive_average_precision(relevant_row):
     return math.fsum(precisions) / hits
 
 
+def naive_hits(relevant_rows):
+    """Each row's 1-based hit depths and the precision at each, row after
+    row, plus the offset where each row's hits start (one more at the end)."""
+    depths, precisions, starts = [], [], [0]
+    for row in relevant_rows:
+        found = 0
+        for pos in range(len(row)):
+            if row[pos]:
+                found += 1
+                depths.append(pos + 1)
+                precisions.append(found / (pos + 1))
+        starts.append(len(depths))
+    return depths, precisions, starts
+
+
 def naive_precision_recall_f1(relevant_row, k):
     total = sum(1 for r in relevant_row if r)
     hits = sum(1 for r in relevant_row[:k] if r)
@@ -229,7 +244,9 @@ def _softmax_grad(y, g):
     return y * (g - np.dot(g, y))
 
 
-def _sigmoid(x):
+def masked_sigmoid(x):
+    """Logistic function in two masked branches: 1/(1 + exp(-x)) where
+    x >= 0, exp(x)/(1 + exp(x)) elsewhere."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -277,7 +294,7 @@ def dense_forward(sample, params, config):
             alpha = _softmax(scores)
         agg = sum(alpha[j] * node[j] for j in range(views))
         trace.update(weighted_sums=weighted, node_corr=node, alpha=alpha)
-    feature = _sigmoid(p["feat_weights"] @ agg.reshape(-1) + p["feat_bias"])
+    feature = masked_sigmoid(p["feat_weights"] @ agg.reshape(-1) + p["feat_bias"])
     logits = p["cls_weights"] @ feature + p["cls_bias"]
     trace.update(agg=agg, global_feature=feature, logits=logits, probs=_softmax(logits))
     return trace

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import central_difference, masked_sigmoid
 from viewgraph.classifier import (
     ClassifierParams,
     classifier_backward,
@@ -14,7 +14,7 @@ from viewgraph.classifier import (
     init_classifier,
 )
 from viewgraph.model import dense_gradient, sample_loss
-from viewgraph.numeric import stable_softmax
+from viewgraph.numeric import sigmoid, stable_softmax
 
 
 def loss_of(logits, label):
@@ -30,6 +30,26 @@ def random_classifier(rng, classes, feat, inp):
         cls_weights=rng.standard_normal((classes, feat)),
         cls_bias=rng.standard_normal(classes),
     )
+
+
+class TestSigmoid:
+    @staticmethod
+    def bits(x):
+        return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+    def test_bitwise_equal_to_masked_branches(self):
+        tiny = np.finfo(np.float64).tiny
+        edges = np.array([0.0, -0.0, tiny, -tiny, 5e-324, -5e-324, 745.0, -745.0,
+                          709.8, -709.8, 36.8, -36.8, np.inf, -np.inf, np.nan, -np.nan])
+        rng = np.random.default_rng(7)
+        for x in (edges, rng.standard_normal((32, 256)) * 40.0,
+                  rng.standard_normal(1000) * 1e-300, rng.standard_normal((3, 5, 7))):
+            np.testing.assert_array_equal(self.bits(sigmoid(x)), self.bits(masked_sigmoid(x)))
+
+    def test_saturates_without_warnings(self):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = sigmoid(np.array([-1e308, -800.0, 800.0, 1e308]))
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 class TestGlobalFeature:

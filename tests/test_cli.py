@@ -7,10 +7,12 @@ import math
 import pathlib
 import platform
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+from oracles import naive_hits, naive_shrec
 from viewgraph import cli, dataio, evalmetrics
 from viewgraph.cli import build_parser, main
 from viewgraph.model import BLOCK_NAMES, TrainConfig, load_checkpoint
@@ -316,6 +318,58 @@ class TestRetrieveCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["num_queries"] == 8
 
+    @pytest.mark.parametrize("separate_gallery", [False, True])
+    def test_frees_the_model_before_ranking(self, tmp_path, capsys, monkeypatch,
+                                            separate_gallery):
+        data, model = self.setup_run(tmp_path)
+        extra = []
+        if separate_gallery:
+            extra = ["--gallery", str(make_dataset(tmp_path / "g.3dvgd", seed=9))]
+        payloads, alive = [], []
+        load, rank = cli.load_checkpoint, evalmetrics.rank_gallery
+
+        def load_and_watch(*args, **kwargs):
+            params, config = load(*args, **kwargs)
+            payloads.append(weakref.ref(params.cls.feat_weights.base))
+            return params, config
+
+        def rank_and_check(run):
+            alive.append([ref() is not None for ref in payloads])
+            return rank(run)
+
+        monkeypatch.setattr(cli, "load_checkpoint", load_and_watch)
+        monkeypatch.setattr(evalmetrics, "rank_gallery", rank_and_check)
+        assert main(["retrieve", "--model", str(model), "--data", str(data), *extra]) == 0
+        capsys.readouterr()
+        assert alive == [[False]]
+
+    def test_gallery_without_a_query_class(self, tmp_path, capsys, monkeypatch):
+        data = make_dataset(tmp_path / "d.3dvgd", classes=3, per_class=3)
+        model = train_model(data, tmp_path / "m.3dvgm")
+        gallery = make_dataset(tmp_path / "g.3dvgd", classes=2, per_class=4, seed=9)
+        per_query = tmp_path / "q.csv"
+        ranked = []
+        rank = evalmetrics.rank_gallery
+
+        def rank_and_keep(run):
+            ranked.append((run, *rank(run)))
+            return ranked[-1][1:]
+
+        monkeypatch.setattr(evalmetrics, "rank_gallery", rank_and_keep)
+        assert main(["retrieve", "--model", str(model), "--data", str(data),
+                     "--gallery", str(gallery), "--per-query-csv", str(per_query)]) == 0
+        capsys.readouterr()
+        [(run, _, relevant)] = ranked
+        assert [a.tolist() for a in run.hits] == list(naive_hits(relevant.tolist()))
+        assert np.diff(run.hits.starts).tolist() == [4] * 6 + [0] * 3
+        want, _, _ = naive_shrec(run.query_features, run.query_labels,
+                                 run.gallery_features, run.gallery_labels)
+        with open(per_query, newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert [r["cutoff"] for r in got] == ["4"] * 6 + ["0"] * 3
+        for row, expected in zip(got, want):
+            assert {key: type(value)(row[key]) for key, value in expected.items()} == expected
+
     def test_cosine_distance_flag(self, tmp_path, capsys):
         data, model = self.setup_run(tmp_path)
         code = main([
@@ -354,8 +408,11 @@ class TestManifestHashes:
         for name, (command, _) in runs.items():
             assert main([*command, "--model", str(model), "--data", str(data),
                          "--manifest", str(tmp_path / f"{name}.json")]) == 0
+        train_model(data, tmp_path / "resumed.3dvgm", "--resume", str(model),
+                    "--manifest", str(tmp_path / "resume.json"), epochs=1)
         capsys.readouterr()
         runs["train"] = ([], {"data"})
+        runs["resume"] = ([], {"data", "resume"})
         for name, (_, expected) in runs.items():
             inputs = json.loads((tmp_path / f"{name}.json").read_text())["inputs"]
             assert set(inputs) == expected

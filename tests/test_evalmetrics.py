@@ -6,6 +6,7 @@ import pytest
 
 from oracles import (
     naive_average_precision,
+    naive_hits,
     naive_ndcg,
     naive_pr_curve,
     naive_precision_recall_f1,
@@ -239,6 +240,7 @@ class TestRankGallery:
                 exclude_self=exclude_self, metric=metric)
             assert ranked.tolist() == want_ranked
             assert relevant.tolist() == want_rel
+            assert [a.tolist() for a in run.hits] == list(naive_hits(want_rel))
 
         every = np.arange(len(feats))
         check(every, False)
