@@ -13,6 +13,7 @@ verbosity: debug, info (default), warning, error, or quiet.
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -23,7 +24,7 @@ import resource
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -55,10 +56,12 @@ def _setup_logging() -> None:
     log.propagate = False
 
 
-def _hashes(args, *names) -> dict:
-    """A SHA-256 object per named input under ``--manifest`` (else none),
-    which the loader of that input feeds with the bytes it reads."""
-    return {name: hashlib.sha256() for name in names} if args.manifest else {}
+def _hashes(args, **paths) -> dict:
+    """``{name: (path, SHA-256 object)}`` of each input given a path. The
+    loader of that input feeds the hash with the bytes it reads; without
+    ``--manifest`` the hash is None."""
+    return {name: (path, hashlib.sha256() if args.manifest else None)
+            for name, path in paths.items() if path}
 
 
 @functools.lru_cache(maxsize=None)
@@ -76,23 +79,26 @@ def _software() -> dict:
             "blas": f"{blas.get('name')} {blas.get('version')}", "git_describe": described or None}
 
 
-def _write_manifest(path, command: str, config, inputs: dict, outputs: list, seconds: float):
-    """Record what a run did: config, inputs (name -> path and the hash of the
-    bytes the command read from it), outputs, wall time, the software it ran
-    on and the process's peak resident memory."""
+def _write_manifest(args, config, inputs: dict, outputs: list) -> int:
+    """Under ``--manifest``, record what the run did and return exit code 0:
+    config, inputs (``_hashes``), outputs, wall time since ``main`` parsed the
+    command line, the software it ran on and the process's peak resident memory."""
+    if not args.manifest:
+        return 0
     payload = {
-        "command": command,
+        "command": args.command,
         "config": None if config is None else vars(config).copy(),
         "inputs": {name: {"path": str(p), "sha256": digest.hexdigest()}
                    for name, (p, digest) in inputs.items()},
         "outputs": [str(p) for p in outputs],
-        "wall_seconds": seconds,
+        "wall_seconds": time.perf_counter() - args.started,
         # ru_maxrss is in KiB on Linux
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         **_software(),
     }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    dataio.write_atomic(path, [text.encode()], "manifest")
+    dataio.write_atomic(args.manifest, [text.encode()], "manifest")
+    return 0
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -137,7 +143,6 @@ def _config_from_args(args, **dims) -> TrainConfig:
 
 
 def _cmd_synth(args) -> int:
-    started = time.perf_counter()
     dataset = dataio.generate_synthetic(
         num_classes=args.classes,
         shapes_per_class=args.per_class,
@@ -147,33 +152,25 @@ def _cmd_synth(args) -> int:
         seed=args.seed,
         split=args.split,
     )
-    hashes = _hashes(args, "dataset")
-    dataio.save(dataset, args.out, hashes.get("dataset"))
+    inputs = _hashes(args, dataset=args.out)
+    dataio.save(dataset, *inputs["dataset"])
     log.info(
         "wrote %s: %d shapes, %d classes, %d views x %d dims",
         args.out, dataset.num_samples, dataset.num_classes,
         dataset.views, dataset.feature_dim,
     )
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "synth", None, {"dataset": (args.out, hashes["dataset"])}, [args.out],
-            time.perf_counter() - started,
-        )
-    return 0
+    return _write_manifest(args, None, inputs, [args.out])
 
 
 def _cmd_train(args) -> int:
-    started = time.perf_counter()
-    hashes = _hashes(args, "data", *(["resume"] if args.resume else []))
-    dataset = dataio.load(args.data, sigma=args.sigma, digest=hashes.get("data"))
+    inputs = _hashes(args, data=args.data, resume=args.resume)
+    dataset = dataio.load(args.data, sigma=args.sigma, digest=inputs["data"][1])
     config = _config_from_args(args, num_classes=dataset.num_classes,
                                views=dataset.views, input_dim=dataset.feature_dim)
     resume = None
     if args.resume:
-        resume, resume_cfg = load_checkpoint(args.resume, hashes.get("resume"))
+        resume, resume_cfg = load_checkpoint(*inputs["resume"])
         log.info("resuming from %s (trained with seed %d)", args.resume, resume_cfg.seed)
-
-    log_fh = open(args.log_file, "w") if args.log_file else None
 
     def on_epoch(stats):
         log.info(
@@ -181,24 +178,13 @@ def _cmd_train(args) -> int:
             stats.epoch, stats.loss, stats.accuracy, stats.seconds,
         )
         if log_fh is not None:
-            json.dump(
-                {
-                    "epoch": stats.epoch,
-                    "loss": stats.loss,
-                    "accuracy": stats.accuracy,
-                    "seconds": stats.seconds,
-                },
-                log_fh,
-            )
+            json.dump(asdict(stats), log_fh)
             log_fh.write("\n")
             log_fh.flush()
         return False
 
-    try:
+    with open(args.log_file, "w") if args.log_file else contextlib.nullcontext() as log_fh:
         result = trainer.train(dataset, config, params=resume, callback=on_epoch)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     save_checkpoint(args.out, result.params, config)
     final = result.history[-1] if result.history else None
     if final is not None:
@@ -209,25 +195,19 @@ def _cmd_train(args) -> int:
             final.loss, final.accuracy,
         )
     outputs = [args.out] + ([args.log_file] if args.log_file else [])
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "train", config,
-            {name: (getattr(args, name), digest) for name, digest in hashes.items()}, outputs,
-            time.perf_counter() - started,
-        )
-    return 0
+    return _write_manifest(args, config, inputs, outputs)
 
 
-def _load_model_and_data(model_path, data_path, hashes: dict):
-    params, config = load_checkpoint(model_path, hashes.get("model"))
-    dataset = dataio.load(data_path, sigma=config.sigma, digest=hashes.get("data"))
+def _load_model_and_data(model, data):
+    """The checkpoint and the dataset, each given as (path, hash or None)."""
+    params, config = load_checkpoint(*model)
+    dataset = dataio.load(data[0], sigma=config.sigma, digest=data[1])
     return params, config, dataset
 
 
 def _cmd_eval(args) -> int:
-    started = time.perf_counter()
-    hashes = _hashes(args, "model", "data")
-    params, config, dataset = _load_model_and_data(args.model, args.data, hashes)
+    inputs = _hashes(args, model=args.model, data=args.data)
+    params, config, dataset = _load_model_and_data(inputs["model"], inputs["data"])
     trace = infer(dataset.samples, params, config, "logits", "probs", "labels")
     summary = {
         "num_samples": dataset.num_samples,
@@ -236,13 +216,7 @@ def _cmd_eval(args) -> int:
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if args.manifest:
-        _write_manifest(
-            args.manifest, "eval", config,
-            {name: (getattr(args, name), digest) for name, digest in hashes.items()}, [],
-            time.perf_counter() - started,
-        )
-    return 0
+    return _write_manifest(args, config, inputs, [])
 
 
 def _split_features(params, config, path, digest) -> tuple[np.ndarray, np.ndarray]:
@@ -252,22 +226,21 @@ def _split_features(params, config, path, digest) -> tuple[np.ndarray, np.ndarra
     return predict_features(params, config, dataset), dataset.labels
 
 
-def _retrieval_run(args, hashes: dict):
+def _retrieval_run(args, inputs: dict):
     """The retrieval run of ``args`` and the model's config. Only features
     and labels outlive this call: the model and the datasets are freed
     before anything is ranked."""
-    params, config = load_checkpoint(args.model, hashes.get("model"))
-    queries = _split_features(params, config, args.data, hashes.get("data"))
+    params, config = load_checkpoint(*inputs["model"])
+    queries = _split_features(params, config, *inputs["data"])
     if not args.gallery:
         return evalmetrics.RetrievalRun.self_retrieval(*queries, distance=args.distance), config
-    gallery = _split_features(params, config, args.gallery, hashes.get("gallery"))
+    gallery = _split_features(params, config, *inputs["gallery"])
     return evalmetrics.RetrievalRun(*queries, *gallery, distance=args.distance), config
 
 
 def _cmd_retrieve(args) -> int:
-    started = time.perf_counter()
-    hashes = _hashes(args, "model", "data", *(["gallery"] if args.gallery else []))
-    run, config = _retrieval_run(args, hashes)
+    inputs = _hashes(args, model=args.model, data=args.data, gallery=args.gallery)
+    run, config = _retrieval_run(args, inputs)
     report = evalmetrics.shrec_metrics(run, cutoff=args.cutoff)
     outputs = []
     if args.metrics_csv:
@@ -287,13 +260,7 @@ def _cmd_retrieve(args) -> int:
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
-    if args.manifest:
-        inputs = {name: (getattr(args, name), digest) for name, digest in hashes.items()}
-        _write_manifest(
-            args.manifest, "retrieve", config, inputs, outputs,
-            time.perf_counter() - started,
-        )
-    return 0
+    return _write_manifest(args, config, inputs, outputs)
 
 
 def _cmd_gradcheck(args) -> int:
@@ -323,7 +290,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attention_dump(args) -> int:
-    params, config, dataset = _load_model_and_data(args.model, args.data, {})
+    params, config, dataset = _load_model_and_data((args.model, None), (args.data, None))
     if config.pooled_mode:
         raise ViewGraphError("pooled models have no attention weights to dump")
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
@@ -409,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()  # the manifest's clock
     try:
         return args.func(args)
     except (ViewGraphError, ValueError, RuntimeError, OSError) as exc:

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .dataio import write_csv
-from .model import EVAL_CHUNK, count_hits, infer
+from .model import count_hits, infer
 from .model import forward  # noqa: F401 -- not called; perfbench/spans.py traces this binding
 
 
@@ -35,6 +35,10 @@ def accuracy(params, config, dataset) -> float:
 
 
 DISTANCES = ("euclidean", "cosine")
+
+# Queries per ranking block: a block's score rows stay near 0.5 MB at 2,000
+# gallery items. The ranking is exact at any block size.
+RANK_BLOCK = 32
 
 
 class Hits(NamedTuple):
@@ -232,8 +236,8 @@ def rank_gallery(run: RetrievalRun) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(invalid="ignore", over="ignore"):
         gallery_sq = np.einsum("ij,ij->i", gallery, gallery)
         # Blocks of queries: only one block's score rows exist at a time.
-        for lo in range(0, run.num_queries, EVAL_CHUNK):
-            block = slice(lo, lo + EVAL_CHUNK)
+        for lo in range(0, run.num_queries, RANK_BLOCK):
+            block = slice(lo, lo + RANK_BLOCK)
             queries = run.query_features[block]
             scores, bound = _approximate(queries, gallery, gallery_sq, run.distance)
             order = np.argsort(scores, axis=1)
@@ -292,13 +296,6 @@ def _discounts(length: int) -> np.ndarray:
 def _ideal_dcg(depth: int) -> float:
     """DCG of a list whose first ``depth`` items are all relevant."""
     return math.fsum(_discounts(depth))
-
-
-def ndcg_at(relevant_row, k: int) -> float:
-    """Binary-gain NDCG with a log2 position discount, over the first k."""
-    length = len(relevant_row)
-    _, [ndcg] = _ndcgs(_hit_depths([relevant_row]), np.array([min(k, length)]), length)
-    return ndcg
 
 
 @dataclass

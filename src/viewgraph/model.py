@@ -50,7 +50,7 @@ from .classifier import (
 from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
 from .dataio import DEFAULT_SIGMA, read_container, write_atomic
 from .errors import FormatError
-from .numeric import softmax_grad, stable_softmax
+from .numeric import row_blocks, softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
 
 CHECKPOINT_MAGIC = b"3DVG-M"
@@ -149,12 +149,6 @@ class ModelParams:
         for name, group, attr, _ in BLOCKS:
             yield name, getattr(getattr(self, group), attr)
 
-    def block(self, name: str) -> np.ndarray:
-        for bname, arr in self.blocks():
-            if bname == name:
-                return arr
-        raise KeyError(name)
-
     def copy(self) -> "ModelParams":
         """Deep copy; the new container's arrays are independent and writable."""
         return ModelParams.from_blocks({name: arr.copy() for name, arr in self.blocks()})
@@ -237,18 +231,26 @@ class ForwardTrace:
         return ForwardTrace(**{k: None if v is None else fn(v) for k, v in vars(self).items()})
 
 
-# Shapes per forward call in ``infer``, and queries per ranking block in
-# evalmetrics: a chunk's (C, N, N) descriptors stay near
-# 4 MB at the paper point, a block's distance rows 0.5 MB at 2,000 items.
+# Shapes per forward call in ``infer``: a chunk's (C, N, N) descriptors stay
+# near 4 MB at the paper point.
 EVAL_CHUNK = 32
 
 
-def check_sigma(graph, config: TrainConfig) -> None:
-    """Reject a graph built at another sigma, unless similarities go unread."""
-    if not (config.pooled_mode or config.no_spatiality) and graph.sigma != config.sigma:
-        raise ValueError(f"sample graph built with sigma={graph.sigma}, config has sigma="
-                         f"{config.sigma}; rebuild the graphs at the config's sigma with "
-                         f"dataio.load(path, sigma=...) or generate_synthetic(..., sigma=...)")
+def check_samples(samples, config: TrainConfig) -> None:
+    """Reject a sample whose features are not (V, D), whose graph has another
+    view count, or whose graph was built at another sigma while similarities
+    are read. The error names the sample's index in ``samples``."""
+    spatial = not (config.pooled_mode or config.no_spatiality)
+    for i, s in enumerate(samples):
+        if np.shape(s.features) != (config.views, config.input_dim):
+            raise ValueError(f"sample {i}: features are {np.shape(s.features)}, config "
+                             f"expects ({config.views}, {config.input_dim}) (V, D)")
+        if s.graph.num_views != config.views:
+            raise ValueError(f"sample {i}: graph and features disagree on the view count")
+        if spatial and s.graph.sigma != config.sigma:
+            raise ValueError(f"sample {i}: graph built with sigma={s.graph.sigma}, config has "
+                             f"sigma={config.sigma}; rebuild the graphs with dataio.load(path, "
+                             f"sigma=...) or generate_synthetic(..., sigma=...)")
 
 
 def _inputs(samples, config: TrainConfig):
@@ -261,13 +263,7 @@ def _inputs(samples, config: TrainConfig):
     batch = [samples] if single else list(samples)
     if not batch:
         raise ValueError("empty batch")
-    for s in batch:
-        if np.shape(s.features) != (config.views, config.input_dim):
-            raise ValueError(f"sample features are {np.shape(s.features)}, config "
-                             f"expects ({config.views}, {config.input_dim}) (V, D)")
-        if s.graph.num_views != config.views:
-            raise ValueError("sample graph and features disagree on the view count")
-        check_sigma(s.graph, config)
+    check_samples(batch, config)
     feats = np.array([s.features for s in batch], dtype=np.float64)
     if config.pooled_mode:
         sim = None
@@ -402,19 +398,16 @@ def count_hits(trace) -> int:
 
 
 def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
-    """``forward`` over a sequence of shapes in slices of ``EVAL_CHUNK``: the
-    ``names`` fields concatenated over the slices, every other field None.
-    Each slice's full trace is dropped before the next slice runs. A one-row
-    remainder joins the slice before it: a one-row feature GEMM takes BLAS's
-    GEMV path, whose sums differ in the last bits."""
+    """``forward`` over a sequence of shapes in the ``row_blocks`` of
+    ``EVAL_CHUNK``: the ``names`` fields concatenated over the slices, every
+    other field None. Each slice's full trace is dropped before the next runs."""
     if len(samples) == 0:
         raise ValueError("cannot run inference on an empty dataset")
-    kept, lo = [], 0
-    for hi in [*range(EVAL_CHUNK, len(samples) - 1, EVAL_CHUNK), len(samples)]:
-        trace = forward(samples[lo:hi], params, config)
+    kept = []
+    for rows in row_blocks(len(samples), EVAL_CHUNK):
+        trace = forward(samples[rows], params, config)
         kept.append([getattr(trace, name) for name in names])
         del trace
-        lo = hi
     columns = dict(zip(names, map(np.concatenate, zip(*kept))))
     return ForwardTrace(**{f.name: columns.get(f.name) for f in fields(ForwardTrace)})
 

@@ -1,4 +1,5 @@
-"""Shared numerical primitives: stabilized softmax, its backward pass, sigmoid."""
+"""Shared numerical primitives: stabilized softmax, its backward pass, sigmoid,
+and the row slicing of blocked matrix products."""
 
 import numpy as np
 
@@ -33,3 +34,12 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(-|x|) never overflows; NaN takes the x < 0 branch and keeps its sign.
     e = np.exp(np.where(pos, -x, x))
     return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def row_blocks(count: int, size: int) -> list[slice]:
+    """Slices of ``size`` rows (``size >= 2``) that cover ``[0, count)`` in
+    order; no slice for ``count == 0``. A one-row remainder joins the slice
+    before it, so no slice has one row unless ``count == 1``: a one-row matrix
+    product takes BLAS's GEMV path, whose sums differ in the last bits."""
+    ends = [*range(size, count - 1, size), count] if count else []
+    return [slice(lo, hi) for lo, hi in zip([0, *ends], ends)]

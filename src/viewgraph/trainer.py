@@ -11,12 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset
+from .dataio import Dataset, validate_dataset
 from .model import (
     ModelParams,
     TrainConfig,
     backward,
-    check_sigma,
+    check_samples,
     count_hits,
     dense_gradient,
     forward,
@@ -24,6 +24,7 @@ from .model import (
     sample_loss,
     validate_params,
 )
+from .numeric import row_blocks
 
 # Relative improvement of the epoch loss over its best value that resets the
 # plateau counter.
@@ -58,6 +59,8 @@ class TrainResult:
 
 
 def _check_compat(dataset: Dataset, config: TrainConfig) -> None:
+    """Reject data that does not fit ``config`` before the first epoch, so
+    that a ValueError during training can only come from the parameters."""
     if dataset.num_samples == 0:
         raise ValueError("cannot train on an empty dataset")
     if dataset.num_classes != config.num_classes:
@@ -65,13 +68,8 @@ def _check_compat(dataset: Dataset, config: TrainConfig) -> None:
             f"dataset has {dataset.num_classes} classes, config expects "
             f"{config.num_classes}"
         )
-    if dataset.views != config.views or dataset.feature_dim != config.input_dim:
-        raise ValueError(
-            f"dataset is {dataset.views} views x {dataset.feature_dim} dims, config "
-            f"expects {config.views} x {config.input_dim}"
-        )
-    for s in dataset.samples:
-        check_sigma(s.graph, config)
+    validate_dataset(dataset)
+    check_samples(dataset.samples, config)
 
 
 def _subtract_outer(arr, left, right, step: float) -> None:
@@ -79,19 +77,15 @@ def _subtract_outer(arr, left, right, step: float) -> None:
 
     Each block of rows of ``left.T @ right`` goes into one reused buffer and
     is scaled and subtracted before the next. Every entry is the same dot
-    product over the batch axis as in the dense GEMM, so the result is the
-    dense update bit for bit. A one-row remainder joins the block before it:
-    a one-row product takes BLAS's GEMV path, whose sums differ in the last
-    bits.
+    product over the batch axis as in the dense GEMM, and the blocks are
+    ``row_blocks``, so the result is the dense update bit for bit.
     """
     rows = max(2, UPDATE_BLOCK_BYTES // arr[0].nbytes)
     buf = np.empty((min(rows + 1, len(arr)), arr.shape[1]))
-    lo = 0
-    for hi in [*range(rows, len(arr) - 1, rows), len(arr)]:
-        block = np.matmul(left[:, lo:hi].T, right, out=buf[: hi - lo])
-        block *= step
-        arr[lo:hi] -= block
-        lo = hi
+    for block in row_blocks(len(arr), rows):
+        product = np.matmul(left[:, block].T, right, out=buf[: block.stop - block.start])
+        product *= step
+        arr[block] -= product
 
 
 def train(

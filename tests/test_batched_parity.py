@@ -30,6 +30,7 @@ from viewgraph.model import (
     predict_features,
     sample_loss,
 )
+from viewgraph.numeric import row_blocks
 
 FLAGS = (
     "no_spatiality",
@@ -159,6 +160,19 @@ def test_infer_never_runs_a_lone_last_row(size, monkeypatch):
     infer(samples, params, config, "global_feature")
     assert sum(lengths) == size and max(lengths) <= EVAL_CHUNK + 1
     assert 1 not in lengths or size == 1
+
+
+def test_row_blocks_cover_the_rows_without_a_lone_row():
+    for size in range(2, 41):
+        for count in range(1, 101):
+            blocks = row_blocks(count, size)
+            assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+            lengths = [b.stop - b.start for b in blocks]
+            assert 1 not in lengths or count == 1
+            assert max(lengths) <= size + 1
+    assert row_blocks(0, 32) == []
+    assert row_blocks(33, 32) == [slice(0, 33)]
+    assert row_blocks(34, 32) == [slice(0, 32), slice(32, 34)]
 
 
 def test_sigma_zero_and_no_spatiality_give_the_same_checkpoint_bytes(tmp_path):

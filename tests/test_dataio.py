@@ -1,5 +1,6 @@
 """Dataset container round trips, validation, and the synthetic generator."""
 
+import argparse
 import errno
 import json
 import os
@@ -163,7 +164,8 @@ def _write_pr_csv(seed, path):
 
 
 def _write_manifest(seed, path):
-    cli._write_manifest(path, "synth", None, {}, [f"out{seed}"], float(seed))
+    args = argparse.Namespace(manifest=path, command="synth", started=0.0)
+    cli._write_manifest(args, None, {}, [f"out{seed}"])
 
 
 class TestAtomicWrite:

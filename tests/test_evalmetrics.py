@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import viewgraph.evalmetrics as vge
 from oracles import (
     naive_average_precision,
     naive_hits,
@@ -17,11 +18,12 @@ from viewgraph.dataio import Dataset, generate_synthetic
 from viewgraph.evalmetrics import (
     DISTANCES,
     RetrievalRun,
+    _hit_depths,
+    _ndcgs,
     accuracy,
     average_precision,
     distance_matrix,
     mean_average_precision,
-    ndcg_at,
     pr_curve,
     rank_gallery,
     shrec_metrics,
@@ -248,6 +250,24 @@ class TestRankGallery:
         for qi in (0, 3, 17):
             check(np.array([qi]), False)
 
+    @pytest.mark.parametrize("metric", DISTANCES)
+    @pytest.mark.parametrize("exclude_self", (True, False))
+    def test_block_size_does_not_change_the_ranking(self, monkeypatch, exclude_self, metric):
+        # 70 items drawn from 9 rows: exact duplicates tie, and rows moved by
+        # one ulp (about 1e-16) nearly tie
+        rng = np.random.default_rng(8)
+        feats = rng.standard_normal((9, 5))[rng.integers(9, size=70)]
+        feats[::3] += np.spacing(feats[::3])
+        labels = np.arange(len(feats)) % 4
+        queries = slice(None) if exclude_self else slice(0, 50)
+        run = RetrievalRun(feats[queries], labels[queries], feats, labels,
+                           exclude_self=exclude_self, distance=metric)
+        results = []
+        for size in (1, 2, 5, 33, run.num_queries, 200):
+            monkeypatch.setattr(vge, "RANK_BLOCK", size)
+            results.append([a.tolist() for a in rank_gallery(run)])
+        assert all(r == results[0] for r in results)
+
 
 class TestAveragePrecision:
     def test_alternating_example(self):
@@ -268,6 +288,12 @@ class TestAveragePrecision:
         for _ in range(200):
             row = (rng.random(int(rng.integers(1, 30))) < 0.4).tolist()
             assert average_precision(row) == naive_average_precision(row)
+
+
+def ndcg_at(row, k):
+    """One ranked list's NDCG over its first k, through the report path."""
+    _, [ndcg] = _ndcgs(_hit_depths([row]), np.array([min(k, len(row))]), len(row))
+    return ndcg
 
 
 class TestNdcg:

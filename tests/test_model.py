@@ -155,7 +155,7 @@ class TestForward:
         blind = forward(sample, blind_params, blind_cfg)
         np.testing.assert_array_equal(blind.alpha, full.alpha)
         np.testing.assert_array_equal(blind.probs, full.probs)
-        cls_weights = blind_params.block("cls_weights")
+        cls_weights = dict(blind_params.blocks())["cls_weights"]
         cls_weights[...] = np.random.default_rng(5).standard_normal(cls_weights.shape)
         np.testing.assert_array_equal(
             forward(sample, blind_params, cfg).alpha, full.alpha
@@ -288,7 +288,7 @@ class TestBackwardBlocks:
             unused |= {"latent_filters", "latent_offsets"}
         assert set(vars(grads)) == set(BLOCK_NAMES) - unused
         for name, g in vars(grads).items():
-            assert dense_gradient(g).shape == params.block(name).shape, name
+            assert dense_gradient(g).shape == dict(params.blocks())[name].shape, name
 
 
 class TestParams:
@@ -313,7 +313,7 @@ class TestParams:
     def test_validate_params_checks_every_block(self, name):
         cfg, _, params = make_instance()
         _, group, attr, _ = next(b for b in vgm.BLOCKS if b[0] == name)
-        wrong = np.zeros(params.block(name).shape + (1,))
+        wrong = np.zeros(dict(params.blocks())[name].shape + (1,))
         setattr(getattr(params, group), attr, wrong)
         with pytest.raises(ValueError, match=name):
             validate_params(params, cfg)
@@ -327,7 +327,7 @@ class TestCheckpoint:
         loaded_params, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
         for name, arr in params.blocks():
-            np.testing.assert_array_equal(arr, loaded_params.block(name))
+            np.testing.assert_array_equal(arr, dict(loaded_params.blocks())[name])
 
     def test_same_state_same_bytes(self, tmp_path):
         cfg, _, params = make_instance()
@@ -416,7 +416,7 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         assert not set(retired) & set(vars(loaded_cfg))
         for name, arr in params.blocks():
-            np.testing.assert_array_equal(arr, loaded_params.block(name))
+            np.testing.assert_array_equal(arr, dict(loaded_params.blocks())[name])
 
     @pytest.mark.parametrize("field", ["sigma", "learning_rate"])
     def test_non_finite_config_float_is_rejected(self, tmp_path, field):
@@ -457,7 +457,7 @@ class TestCheckpoint:
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
         before = path.read_bytes()
-        params.block(name)[0] = value
+        dict(params.blocks())[name][0] = value
         with pytest.raises(ValueError, match=name):
             save_checkpoint(path, params, cfg)
         assert path.read_bytes() == before
@@ -610,7 +610,7 @@ class TestCheckpointReads:
                 assert arr.dtype == np.float64 and arr.dtype.isnative, name
                 assert arr.flags.aligned and arr.flags.c_contiguous, name
                 assert arr.flags.writeable and arr.ctypes.data % 8 == 0, name
-                np.testing.assert_array_equal(arr, params.block(name))
+                np.testing.assert_array_equal(arr, dict(params.blocks())[name])
         assert residues == set(range(8))
 
 
@@ -645,7 +645,7 @@ class TestInitModel:
         a = init_model(cfg, np.random.default_rng(5))
         b = init_model(cfg, np.random.default_rng(5))
         for name, arr in a.blocks():
-            np.testing.assert_array_equal(arr, b.block(name))
+            np.testing.assert_array_equal(arr, dict(b.blocks())[name])
 
     def test_shapes_follow_flags(self):
         cfg = TrainConfig(num_classes=3, input_dim=5, views=4, n_patterns=4,

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import viewgraph.trainer as vgt
-from viewgraph.dataio import generate_synthetic
+from viewgraph.dataio import ShapeSample, generate_synthetic
+from viewgraph.errors import ValidationError
 from viewgraph.evalmetrics import accuracy
 from viewgraph.model import BLOCK_NAMES, TrainConfig, backward, forward, init_model
 from viewgraph.trainer import grad_check, train
@@ -30,7 +31,7 @@ class TestDeterminism:
         a = train(ds, cfg)
         b = train(ds, cfg)
         for name, arr in a.params.blocks():
-            np.testing.assert_array_equal(arr, b.params.block(name))
+            np.testing.assert_array_equal(arr, dict(b.params.blocks())[name])
         assert [s.loss for s in a.history] == [s.loss for s in b.history]
 
     def test_different_seed_differs(self):
@@ -45,7 +46,7 @@ class TestDeterminism:
         result = train(ds, cfg)
         fresh = init_model(cfg, np.random.default_rng([cfg.seed, 0]))
         for name, arr in result.params.blocks():
-            np.testing.assert_array_equal(arr, fresh.block(name))
+            np.testing.assert_array_equal(arr, dict(fresh.blocks())[name])
         # loss is then identical every epoch up to shuffle order
         losses = [s.loss for s in result.history]
         np.testing.assert_allclose(losses, losses[0], rtol=1e-12)
@@ -124,6 +125,24 @@ class TestGuards:
         epochs = []
         with pytest.raises(ValueError, match="sigma=10.0, config has sigma=4.0") as excinfo:
             train(ds, small_config(epochs=2, sigma=4.0), callback=epochs.append)
+        assert "diverged" not in str(excinfo.value)
+        assert epochs == []
+
+    # A hand-built dataset is not validated as a loaded one is: a bad later
+    # sample must still be caught before any epoch, not reported as divergence.
+    @pytest.mark.parametrize("bad,message", [
+        (lambda s: ShapeSample(s.label, np.zeros((6, 7), np.float32), s.graph),
+         r"sample 9: features \(6, 7\), expected \(6, 8\)"),
+        (lambda s: ShapeSample(7, s.features, s.graph), r"sample 9: label 7 out of range"),
+        (lambda s: ShapeSample(s.label, np.where(np.eye(6, 8) > 0, np.nan, s.features),
+                               s.graph), "sample 9: non-finite feature values"),
+    ], ids=["shape", "label", "nan"])
+    def test_bad_sample_is_rejected_before_any_epoch(self, bad, message):
+        ds = small_task()
+        ds.samples[9] = bad(ds.samples[9])
+        epochs = []
+        with pytest.raises(ValidationError, match=message) as excinfo:
+            train(ds, small_config(epochs=2), callback=epochs.append)
         assert "diverged" not in str(excinfo.value)
         assert epochs == []
 
@@ -211,7 +230,7 @@ class TestGradCheck:
         sample, params, cfg = self._instance()
 
         def corrupt(grads):
-            wrong = getattr(grads, name) + np.ones(params.block(name).shape)
+            wrong = getattr(grads, name) + np.ones(dict(params.blocks())[name].shape)
             setattr(grads, name, wrong)
 
         report = grad_check(sample, params, cfg, grad_hook=corrupt)
