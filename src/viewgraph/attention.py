@@ -39,17 +39,6 @@ class AttentionParams:
     node_vec: np.ndarray
     out: np.ndarray
 
-    def __post_init__(self):
-        for name in ("node_proj", "node_vec", "out"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        num_classes, num_patterns = self.node_proj.shape
-        if self.node_vec.shape != (num_patterns,):
-            raise ValueError(f"node_vec shape {self.node_vec.shape} != ({num_patterns},)")
-        if self.out.shape != (num_classes,):
-            raise ValueError(f"out shape {self.out.shape} != ({num_classes},)")
-        if not all(np.isfinite(a).all() for a in (self.node_proj, self.node_vec, self.out)):
-            raise ValueError("attention parameters must be finite")
-
 
 def init_attention(
     num_classes: int,

@@ -28,36 +28,6 @@ class ClassifierParams:
     cls_weights: np.ndarray
     cls_bias: np.ndarray
 
-    def __post_init__(self):
-        blocks = ("feat_weights", "feat_bias", "cls_weights", "cls_bias")
-        for name in blocks:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        feature_dim = self.feat_weights.shape[0]
-        num_classes = self.cls_weights.shape[0]
-        if self.feat_bias.shape != (feature_dim,):
-            raise ValueError(f"feat_bias shape {self.feat_bias.shape} != ({feature_dim},)")
-        if self.cls_weights.shape[1] != feature_dim:
-            raise ValueError(
-                f"cls_weights shape {self.cls_weights.shape} does not take "
-                f"{feature_dim}-dim features"
-            )
-        if self.cls_bias.shape != (num_classes,):
-            raise ValueError(f"cls_bias shape {self.cls_bias.shape} != ({num_classes},)")
-        if not all(np.isfinite(getattr(self, name)).all() for name in blocks):
-            raise ValueError("classifier parameters must be finite")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.feat_weights.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.cls_weights.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.feat_weights.shape[1]
-
 
 def init_classifier(
     num_classes: int,
@@ -91,10 +61,9 @@ def _flatten_descriptor(agg: np.ndarray, params: ClassifierParams) -> np.ndarray
     """(B, ...) descriptors as (B, K) rows, each flattened row-major."""
     agg = np.asarray(agg, dtype=np.float64)
     flat = agg.reshape(len(agg), -1)
-    if flat.shape[1] != params.input_dim:
-        raise ValueError(
-            f"descriptor of size {flat.shape[1]} for a layer expecting {params.input_dim}"
-        )
+    if flat.shape[1] != params.feat_weights.shape[1]:
+        raise ValueError(f"descriptor of size {flat.shape[1]} for a layer expecting "
+                         f"{params.feat_weights.shape[1]}")
     if not np.isfinite(flat).all():
         raise ValueError("descriptor must be finite")
     return flat
@@ -113,8 +82,9 @@ def global_feature(agg: np.ndarray, params: ClassifierParams) -> np.ndarray:
 def classify(feature: np.ndarray, params: ClassifierParams) -> np.ndarray:
     """Class logits W @ feature + b along the last axis: (..., F) -> (..., L)."""
     feature = np.asarray(feature, dtype=np.float64)
-    if feature.shape[-1:] != (params.feature_dim,):
-        raise ValueError(f"feature shape {feature.shape}, expected (..., {params.feature_dim})")
+    width = params.cls_weights.shape[1]
+    if feature.shape[-1:] != (width,):
+        raise ValueError(f"feature shape {feature.shape}, expected (..., {width})")
     return feature @ params.cls_weights.T + params.cls_bias
 
 
@@ -133,8 +103,9 @@ def classifier_backward(agg, feature, probs, labels, params: ClassifierParams):
     """
     flat = _flatten_descriptor(agg, params)
     labels = np.asarray(labels)
-    if labels.shape != (len(flat),) or not np.all((labels >= 0) & (labels < params.num_classes)):
-        raise ValueError(f"labels {labels} out of range [0, {params.num_classes})")
+    classes = params.cls_weights.shape[0]
+    if labels.shape != (len(flat),) or not np.all((labels >= 0) & (labels < classes)):
+        raise ValueError(f"labels {labels} out of range [0, {classes})")
     grad_logits = np.array(probs, dtype=np.float64)
     grad_logits[np.arange(len(flat)), labels] -= 1.0
     grad_pre = (grad_logits @ params.cls_weights) * feature * (1.0 - feature)

@@ -20,9 +20,6 @@ DIRECTION_NORM_TOL = 1e-6
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 
-# Platonic vertex counts with a regular polyhedron inscribed in the sphere.
-PLATONIC_COUNTS = (4, 6, 8, 12, 20)
-
 
 @dataclass(frozen=True)
 class ViewGraph:

@@ -130,11 +130,17 @@ class TrainConfig:
 
 @dataclass
 class ModelParams:
-    """All learnable parameters, grouped by pipeline stage."""
+    """All learnable parameters, grouped by pipeline stage into plain fields
+    whose shapes ``BLOCKS`` gives. A non-finite block is a ValueError."""
 
     latent: LatentMapParams
     attn: AttentionParams
     cls: ClassifierParams
+
+    def __post_init__(self):
+        bad = self.non_finite_block()
+        if bad is not None:
+            raise ValueError(f"parameter block {bad} must be finite")
 
     @classmethod
     def from_blocks(cls, arrays: dict) -> "ModelParams":
@@ -148,6 +154,10 @@ class ModelParams:
         """Yield (name, array) for every parameter block in table order."""
         for name, group, attr, _ in BLOCKS:
             yield name, getattr(getattr(self, group), attr)
+
+    def non_finite_block(self) -> Optional[str]:
+        """The first block, in table order, holding a NaN or an inf; else None."""
+        return next((name for name, arr in self.blocks() if not np.isfinite(arr).all()), None)
 
     def copy(self) -> "ModelParams":
         """Deep copy; the new container's arrays are independent and writable."""
@@ -442,10 +452,11 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     validate_params(params, config)
     blob = json.dumps(asdict(config), sort_keys=True).encode("utf-8")
     parts = [CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob]
-    for name, arr in params.blocks():  # written through the buffer protocol, not copied
-        if not np.isfinite(arr).all():
-            raise ValueError(f"parameter block {name} is not finite; not saving {path}")
-        parts.append(np.ascontiguousarray(arr, dtype="<f8"))
+    bad = params.non_finite_block()
+    if bad is not None:
+        raise ValueError(f"parameter block {bad} is not finite; not saving {path}")
+    # written through the buffer protocol, not copied
+    parts += [np.ascontiguousarray(arr, dtype="<f8") for _, arr in params.blocks()]
     write_atomic(path, parts, "checkpoint")
 
 
@@ -495,5 +506,5 @@ def load_checkpoint(path, digest=None) -> tuple[ModelParams, TrainConfig]:
     arrays = {name: part.reshape(shape) for (name, shape), part in zip(shapes, parts)}
     try:
         return ModelParams.from_blocks(arrays), config
-    except ValueError as exc:  # the stage groups reject non-finite parameters
+    except ValueError as exc:  # ModelParams rejects a non-finite block
         raise FormatError(f"invalid checkpoint parameters: {exc}") from exc

@@ -25,29 +25,6 @@ class LatentMapParams:
     filters: np.ndarray
     offsets: np.ndarray
 
-    def __post_init__(self):
-        self.filters = np.asarray(self.filters, dtype=np.float64)
-        self.offsets = np.asarray(self.offsets, dtype=np.float64)
-        if self.filters.ndim != 2:
-            raise ValueError(f"filters must be 2-D, got shape {self.filters.shape}")
-        if self.filters.shape[0] < 2:
-            raise ValueError("need at least 2 latent patterns")
-        if self.offsets.shape != (self.filters.shape[0],):
-            raise ValueError(
-                f"offsets shape {self.offsets.shape} does not match "
-                f"{self.filters.shape[0]} filters"
-            )
-        if not (np.isfinite(self.filters).all() and np.isfinite(self.offsets).all()):
-            raise ValueError("latent map parameters must be finite")
-
-    @property
-    def num_patterns(self) -> int:
-        return self.filters.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.filters.shape[1]
-
 
 def init_latent_map(
     num_patterns: int, input_dim: int, rng: np.random.Generator
@@ -70,10 +47,10 @@ def embed(features: np.ndarray, params: LatentMapParams) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim not in (1, 2):
         raise ValueError(f"features must be 1-D or 2-D, got shape {features.shape}")
-    if features.shape[-1] != params.input_dim:
+    if features.shape[-1] != params.filters.shape[1]:
         raise ValueError(
             f"feature dim {features.shape[-1]} does not match "
-            f"filter dim {params.input_dim}"
+            f"filter dim {params.filters.shape[1]}"
         )
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")

@@ -149,12 +149,12 @@ def train(
                 elif grad is not None:  # scaled in place: no temporary
                     arr -= np.multiply(grad, step, out=grad)
             del grads
-        for name, arr in params.blocks():
-            if not np.isfinite(arr).all():
-                raise RuntimeError(
-                    f"training diverged: block '{name}' went non-finite during "
-                    f"epoch {epoch} (learning rate {config.learning_rate})"
-                )
+        bad = params.non_finite_block()
+        if bad is not None:
+            raise RuntimeError(
+                f"training diverged: block '{bad}' went non-finite during "
+                f"epoch {epoch} (learning rate {config.learning_rate})"
+            )
         stats = EpochStats(
             epoch=epoch,
             loss=loss_sum / num,

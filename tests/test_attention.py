@@ -14,6 +14,7 @@ from viewgraph.attention import (
     normalize_attention,
     scores_backward,
 )
+from viewgraph.model import TrainConfig, init_model, validate_params
 from viewgraph.numeric import softmax_grad
 
 
@@ -254,11 +255,18 @@ class TestInit:
         np.testing.assert_array_equal(params.out, draws[-3:])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AttentionParams(
-                node_proj=np.zeros((3, 4)),
-                node_vec=np.zeros(5),  # width mismatch
-                out=np.zeros(3),
-            )
-        with pytest.raises(ValueError, match="out shape"):
-            AttentionParams(node_proj=np.zeros((3, 4)), node_vec=np.zeros(4), out=np.zeros(2))
+        # the group itself is plain fields: model.validate_params checks its
+        # shapes against the config
+        cfg = TrainConfig(num_classes=3, input_dim=5, views=4, n_patterns=4, feature_dim=6)
+        params = init_model(cfg, np.random.default_rng(0))
+        params.attn = AttentionParams(
+            node_proj=np.zeros((3, 4)),
+            node_vec=np.zeros(5),  # width mismatch
+            out=np.zeros(3),
+        )
+        with pytest.raises(ValueError, match="attn_node_vec has shape"):
+            validate_params(params, cfg)
+        params.attn = AttentionParams(node_proj=np.zeros((3, 4)), node_vec=np.zeros(4),
+                                      out=np.zeros(2))
+        with pytest.raises(ValueError, match="attn_out has shape"):
+            validate_params(params, cfg)

@@ -290,6 +290,19 @@ class TestValidation:
         with pytest.raises(FormatError):
             validate_dataset(Dataset(samples=[], class_names=["a"], split="x"))
 
+    def test_graph_of_another_view_count(self):
+        ds = self._dataset()
+        other = build_view_graph(default_viewpoints(5), 10.0)
+        ds.samples[3] = ShapeSample(0, ds.samples[3].features, other)
+        with pytest.raises(ValidationError, match="sample 3: graph has 5 views"):
+            validate_dataset(ds)
+
+    def test_no_class_names(self):
+        ds = self._dataset()
+        ds.class_names = []
+        with pytest.raises(FormatError, match="dataset has no classes"):
+            validate_dataset(ds)
+
 
 class TestLoaderErrors:
     def _valid_bytes(self, tmp_path):
@@ -469,3 +482,65 @@ class TestCsvImport:
         mpath.write_text("{not json")
         with pytest.raises(FormatError):
             import_csv(mpath)
+
+    @pytest.mark.parametrize("case,error,message", [
+        ("absent manifest", DataIOError, "cannot read manifest"),
+        ("manifest is a directory", DataIOError, "cannot read manifest"),
+        ("directions of the wrong shape", ValidationError,
+         r"manifest directions: shape \(3, 3\), expected \(4, 3\)"),
+        ("non-unit directions", ValidationError,
+         r"manifest directions: direction 2 is not unit norm \(\|v\| = 2\)"),
+        ("no directions", FormatError, "manifest needs 'directions' or 'directions_csv'"),
+        ("entry without features_csv", FormatError,
+         "shape entry 1 needs 'features_csv' and 'label'"),
+        ("entry without label", FormatError, "shape entry 2 needs 'features_csv' and 'label'"),
+    ])
+    def test_rejects_bad_manifest(self, tmp_path, case, error, message):
+        mpath = self._write_manifest(tmp_path)
+        blob = json.loads(mpath.read_text())
+        dirs = default_viewpoints(4)
+        if case == "absent manifest":
+            mpath = tmp_path / "absent.json"
+        elif case == "manifest is a directory":
+            mpath = tmp_path / "dir.json"
+            mpath.mkdir()
+        elif case == "directions of the wrong shape":
+            blob["directions"] = dirs[:3].tolist()
+        elif case == "non-unit directions":
+            dirs[2] *= 2.0
+            blob["directions"] = dirs.tolist()
+        elif case == "no directions":
+            del blob["directions_csv"]
+        elif case == "entry without features_csv":
+            del blob["shapes"][1]["features_csv"]
+        else:
+            del blob["shapes"][2]["label"]
+        if mpath.is_file():
+            mpath.write_text(json.dumps(blob))
+        with pytest.raises(error, match=message):
+            import_csv(mpath)
+
+
+class TestSaveErrors:
+    @pytest.mark.parametrize("field", ["split", "class name"])
+    @pytest.mark.parametrize("text", ["x" * 65536, "\u00e9" * 32768])
+    def test_string_over_65535_bytes_leaves_the_target(self, tmp_path, field, text):
+        # 65,536 ASCII characters, and 32,768 two-byte ones: the limit is on
+        # the UTF-8 bytes, not the characters
+        path = tmp_path / "d.3dvgd"
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        save(ds, path)
+        before = path.read_bytes()
+        if field == "split":
+            ds.split = text
+        else:
+            ds.class_names[1] = text
+        with pytest.raises(FormatError, match="string field longer than 65535 bytes"):
+            save(ds, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["d.3dvgd"]
+
+    def test_string_of_65535_bytes_round_trips(self, tmp_path):
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0, split="\u00e9" * 32767 + "x")
+        save(ds, tmp_path / "d.3dvgd")
+        assert load(tmp_path / "d.3dvgd").split == ds.split

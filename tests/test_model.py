@@ -238,6 +238,26 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(wrong_sigma, params, cfg)
 
+    @pytest.mark.parametrize("case,message", [
+        ("empty batch", "empty batch"),
+        ("nan feature under no_latent", "features must be finite"),
+        ("graph of another view count", "sample 1: graph and features disagree on the view count"),
+        ("fewer samples than rows", "2 rows of logits for 1 samples"),
+    ])
+    def test_argument_errors(self, case, message):
+        cfg, sample, params = make_instance(no_latent=case.endswith("no_latent"))
+        with pytest.raises(ValueError, match=message):
+            if case == "empty batch":
+                forward([], params, cfg)
+            elif case.endswith("no_latent"):
+                nan = np.where(np.eye(*sample.features.shape) > 0, np.nan, sample.features)
+                forward(ShapeSample(sample.label, nan, sample.graph), params, cfg)
+            elif case == "graph of another view count":
+                other = build_view_graph(default_viewpoints(cfg.views + 1), cfg.sigma)
+                vgm.check_samples([sample, ShapeSample(0, sample.features, other)], cfg)
+            else:
+                sample_loss(forward([sample, sample], params, cfg), [sample])
+
     def test_stale_trace_detected(self):
         # backward reads the batch from the trace, so a trace made under
         # another config is the one mismatch left to catch
@@ -317,6 +337,20 @@ class TestParams:
         setattr(getattr(params, group), attr, wrong)
         with pytest.raises(ValueError, match=name):
             validate_params(params, cfg)
+
+
+    @pytest.mark.parametrize("name", BLOCK_NAMES)
+    def test_non_finite_block_is_named(self, name):
+        # a NaN in this block and an inf in every later one: the error names
+        # the first in table order, whichever way the set is built
+        cfg, _, params = make_instance()
+        later = BLOCK_NAMES[BLOCK_NAMES.index(name):]
+        for i, block in enumerate(later):
+            dict(params.blocks())[block].flat[0] = np.inf if i else np.nan
+        with pytest.raises(ValueError, match=f"parameter block {name} must be finite"):
+            params.copy()
+        with pytest.raises(ValueError, match=f"parameter block {name} must be finite"):
+            vgm.ModelParams(params.latent, params.attn, params.cls)
 
 
 class TestCheckpoint:
@@ -437,8 +471,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_non_finite_block_is_a_format_error(self, tmp_path, name):
-        # every stage group rejects non-finite values; save refuses them, so
-        # the first value of the block is overwritten in the file
+        # ModelParams rejects a non-finite block by name; save refuses them,
+        # so the first value of the block is overwritten in the file
         cfg, _, params = make_instance()
         path = tmp_path / "m"
         save_checkpoint(path, params, cfg)
@@ -448,7 +482,7 @@ class TestCheckpoint:
         before = sum(int(np.prod(s)) for _, s in shapes[: BLOCK_NAMES.index(name)])
         struct.pack_into("<d", data, 14 + cfg_len + 8 * before, np.inf)
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="must be finite"):
+        with pytest.raises(FormatError, match=f"{name} must be finite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name,value", [("cls_bias", np.nan), ("latent_filters", -np.inf)])

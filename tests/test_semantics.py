@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference, gaussian_kernel_assignment
+from viewgraph.model import ModelParams, TrainConfig, init_model, validate_params
 from viewgraph.semantics import (
     LatentMapParams,
     embed,
@@ -126,9 +127,19 @@ class TestInit:
         np.testing.assert_array_equal(a.offsets, b.offsets)
 
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            LatentMapParams(filters=np.zeros((1, 3)), offsets=np.zeros(1))
-        with pytest.raises(ValueError):
-            LatentMapParams(
-                filters=np.full((3, 2), np.inf), offsets=np.zeros(3)
-            )
+        # the map itself is plain fields: model.validate_params checks its
+        # shapes against the config, and ModelParams its finiteness
+        cfg = TrainConfig(num_classes=3, input_dim=3, views=4, n_patterns=5, feature_dim=4)
+        params = init_model(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_patterns must be >= 2"):
+            TrainConfig(num_classes=3, input_dim=3, n_patterns=1)
+        params.latent = LatentMapParams(filters=np.zeros((1, 3)), offsets=np.zeros(1))
+        with pytest.raises(ValueError, match="latent_filters has shape"):
+            validate_params(params, cfg)
+        params.latent = LatentMapParams(filters=np.zeros((5, 3)), offsets=np.zeros(4))
+        with pytest.raises(ValueError, match="latent_offsets has shape"):
+            validate_params(params, cfg)
+        blocks = dict(params.blocks(), latent_filters=np.full((5, 3), np.inf),
+                      latent_offsets=np.zeros(5))
+        with pytest.raises(ValueError, match="latent_filters must be finite"):
+            ModelParams.from_blocks(blocks)

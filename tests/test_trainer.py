@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import viewgraph.trainer as vgt
-from viewgraph.dataio import ShapeSample, generate_synthetic
+from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic
 from viewgraph.errors import ValidationError
 from viewgraph.evalmetrics import accuracy
 from viewgraph.model import BLOCK_NAMES, TrainConfig, backward, forward, init_model
@@ -119,6 +119,11 @@ class TestGuards:
             train(ds, small_config(views=5))
         with pytest.raises(ValueError):
             train(ds, small_config(input_dim=9))
+
+    def test_empty_dataset_is_rejected(self):
+        empty = Dataset(samples=[], class_names=["a", "b", "c"])
+        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+            train(empty, small_config())
 
     def test_sigma_mismatch_is_rejected_before_any_epoch(self):
         ds = small_task()  # graphs built at sigma 10
