@@ -2,6 +2,7 @@
 
 import argparse
 import errno
+import hashlib
 import json
 import os
 import re
@@ -166,6 +167,49 @@ def _write_pr_csv(seed, path):
 def _write_manifest(seed, path):
     args = argparse.Namespace(manifest=path, command="synth", started=0.0)
     cli._write_manifest(args, None, {}, [f"out{seed}"])
+
+
+class TestPinnedBytes:
+    """SHA-256 of ``save``'s output for three sets, so that a rewrite of the
+    writer keeps every byte of the container."""
+
+    @staticmethod
+    def rotated_rigs():
+        # one rig per shape, each turned about z by elementwise products, so
+        # the directions' bytes do not depend on a BLAS kernel
+        rng = np.random.default_rng(5)
+        x, y, z = default_viewpoints(6).T
+        samples = []
+        for i in range(4):
+            c, s = np.cos(0.3 * (i + 1)), np.sin(0.3 * (i + 1))
+            dirs = np.stack([c * x - s * y, s * x + c * y, z], axis=1)
+            feats = rng.standard_normal((6, 5)).astype(np.float32)
+            samples.append(ShapeSample(i % 2, feats, build_view_graph(dirs, 10.0)))
+        return Dataset(samples, ["a", "b"], "rotated")
+
+    @staticmethod
+    def float64_features():
+        ds = generate_synthetic(3, 2, 8, 4, 0.5, 3, split="test")
+        rng = np.random.default_rng(9)
+        for s in ds.samples:
+            s.features = rng.standard_normal(s.features.shape)
+        return ds
+
+    @pytest.mark.parametrize("case,expected", [
+        ("shared rig", "4482f0c3b64b8e5c143b246cf809b806660f7d6de42fb75c9e96129c780494dd"),
+        ("rotated rigs", "d302358e02549540d3a131494aac900f5b3c8b02ea4b7850a9d9850c5fbedb73"),
+        ("float64 features",
+         "932798b6b827f0010dac630fd7293dc0c7c06443a779763967556256271d051e"),
+    ])
+    def test_save_bytes_are_pinned(self, tmp_path, case, expected):
+        if case == "shared rig":
+            ds = generate_synthetic(3, 4, 12, 5, 0.2, 1)
+        elif case == "rotated rigs":
+            ds = self.rotated_rigs()
+        else:
+            ds = self.float64_features()
+        save(ds, tmp_path / "d.3dvgd")
+        assert hashlib.sha256((tmp_path / "d.3dvgd").read_bytes()).hexdigest() == expected
 
 
 class TestAtomicWrite:

@@ -1,5 +1,7 @@
 """View-direction construction and the spatial similarity graph."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,25 @@ from viewgraph.geometry import (
     fibonacci_sphere,
 )
 
+# SHA-256 of default_viewpoints(V).tobytes(). synth datasets store these bytes,
+# so any rewrite of the rig constructions must keep them, -0.0 entries included.
+VIEWPOINT_SHA256 = {
+    4: "a9db484f26231f95c77dfc2bb13ff7392cfae9101239396fd7cd2ae1db712419",
+    6: "4ed0f9e4a95651f669994ff38f168698f055d6ddc2b3103402ba73f9438ad5bb",
+    7: "92889be133086f2c398924a1bab8f9650851075f1c53495b66d4c1021d8fb6ca",
+    8: "d5f0f943aa6c9763c36e4de2fca7c9a99417ad6f23e057acbc09ea74f740502c",
+    12: "e7f806349c27b1d1e97486f3eb2e22e6cdf1183dbb279db04c8463eb20ff0ff0",
+    20: "e637d7df1c2d1e1572bebf06d6660557f8b6fc209a86650efd826d31e244ac2b",
+    30: "5fc75d5126a91b7dc943cb50ef0dbcef08aca32d70359dc95d1eb93978bca8a7",
+}
+
 
 class TestDefaultViewpoints:
+    @pytest.mark.parametrize("count", sorted(VIEWPOINT_SHA256))
+    def test_bytes_are_pinned(self, count):
+        digest = hashlib.sha256(default_viewpoints(count).tobytes()).hexdigest()
+        assert digest == VIEWPOINT_SHA256[count]
+
     @pytest.mark.parametrize("count", [4, 6, 8, 12, 20])
     def test_platonic_counts_are_unit_vectors(self, count):
         dirs = default_viewpoints(count)
