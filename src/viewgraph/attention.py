@@ -85,7 +85,7 @@ def normalize_attention(scores: np.ndarray) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite")
-    return stable_softmax(scores, axis=-1)
+    return stable_softmax(scores)
 
 
 def aggregate(embeddings, weighted: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -11,6 +11,8 @@ Binary layout (little-endian throughout), container tag ``3DVG-D``::
     dirs    float64 x views x 3          (x num_samples when per_shape_dirs)
     shapes  num_samples x (u32 label + float32 x views x feature_dim)
 
+``save`` and ``load`` share the header's ``struct.Struct`` and the record dtype.
+
 Features are stored as 32-bit floats (the precision upstream CNN features
 come in) and kept as float32 in memory, so a save/load round trip is
 bit-identical. View directions are stored as float64: they are tiny next to
@@ -42,6 +44,13 @@ from .geometry import ViewGraph, build_view_graph, default_viewpoints
 DATASET_MAGIC = b"3DVG-D"
 DATASET_VERSION = 1
 DEFAULT_SIGMA = 10.0
+# num_classes, views, feature_dim, num_samples, per-shape-rigs flag
+_HEADER = struct.Struct("<IIIIB")
+
+
+def _record_dtype(views: int, feature_dim: int) -> np.dtype:
+    """One sample's record: its label, then its (views, feature_dim) features."""
+    return np.dtype([("label", "<u4"), ("features", "<f4", (views, feature_dim))])
 
 
 @dataclass
@@ -127,9 +136,6 @@ class _Reader:
     def u16(self, what: str) -> int:
         return int.from_bytes(self.take(2, what), "little")
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
     def string(self, what: str) -> str:
         raw = self.take(self.u16(f"{what} length"), what)
         try:
@@ -211,38 +217,20 @@ def save(dataset: Dataset, path, digest=None) -> None:
     """Write the dataset container atomically; bytes are deterministic per
     content. The bytes written also go into ``digest`` when one is given."""
     validate_dataset(dataset)
-    views = dataset.views
-    shared = all(
-        np.array_equal(s.graph.directions, dataset.samples[0].graph.directions)
-        for s in dataset.samples
-    )
-    parts = [DATASET_MAGIC, struct.pack("<I", DATASET_VERSION)]
-    parts.append(
-        struct.pack(
-            "<IIIIB",
-            dataset.num_classes,
-            views,
-            dataset.feature_dim,
-            dataset.num_samples,
-            0 if shared else 1,
-        )
-    )
-
-    def put_string(text: str):
+    rigs = np.stack([s.graph.directions for s in dataset.samples]).astype("<f8", copy=False)
+    shared = bool((rigs == rigs[0]).all())
+    records = np.empty(dataset.num_samples, _record_dtype(dataset.views, dataset.feature_dim))
+    records["label"] = dataset.labels
+    records["features"] = [s.features for s in dataset.samples]
+    parts = [DATASET_MAGIC, struct.pack("<I", DATASET_VERSION), _HEADER.pack(
+        dataset.num_classes, dataset.views, dataset.feature_dim, dataset.num_samples,
+        0 if shared else 1)]
+    for text in [dataset.split, *dataset.class_names]:
         raw = text.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError("string field longer than 65535 bytes")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-
-    put_string(dataset.split)
-    for name in dataset.class_names:
-        put_string(name)
-    rigs = dataset.samples[:1] if shared else dataset.samples
-    parts += [np.ascontiguousarray(s.graph.directions, dtype="<f8") for s in rigs]
-    for s in dataset.samples:
-        parts.append(struct.pack("<I", s.label))
-        parts.append(np.ascontiguousarray(s.features, dtype="<f4"))
+        parts += [struct.pack("<H", len(raw)), raw]
+    parts += [rigs[:1] if shared else rigs, records]
     write_atomic(path, parts, "dataset", digest)
 
 
@@ -256,11 +244,8 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
     """
     with read_container(path, "dataset", digest) as r:
         r.header(DATASET_MAGIC, (DATASET_VERSION,), "dataset")
-        num_classes = r.u32("class count")
-        views = r.u32("view count")
-        feature_dim = r.u32("feature dim")
-        num_samples = r.u32("sample count")
-        per_shape = r.u8("per-shape-dirs flag")
+        num_classes, views, feature_dim, num_samples, per_shape = _HEADER.unpack(
+            r.take(_HEADER.size, "header"))
         if per_shape not in (0, 1):
             raise FormatError(f"per-shape-dirs flag must be 0 or 1, got {per_shape}")
         if num_classes < 1 or views < 1 or feature_dim < 1 or num_samples < 1:
@@ -274,7 +259,7 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
         records = r.array(np.uint8, num_samples * (4 + views * feature_dim * 4),
                           "sample records")
         r.finish()
-    records = records.view([("label", "<u4"), ("features", "<f4", (views, feature_dim))])
+    records = records.view(_record_dtype(views, feature_dim))
 
     try:
         graphs = build_view_graph(dirs.reshape(rigs, views, 3), sigma)
@@ -335,6 +320,25 @@ def generate_synthetic(
     return Dataset(samples=samples, class_names=names, split=split)
 
 
+# JSON types a value may have, by the Python type it stands for.
+_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,), list: (list,)}
+
+
+def check_json_types(values: dict, types: dict, what: str) -> None:
+    """FormatError unless each of ``values`` named in ``types`` (name -> type)
+    has a JSON type that stands for that type; other names are not checked."""
+    for name, value in values.items():
+        ftype = types.get(name)
+        # bool is a subclass of int, so it is told apart explicitly
+        if ftype is not None and (isinstance(value, bool) != (ftype is bool)
+                                  or not isinstance(value, _JSON_TYPES[ftype])):
+            raise FormatError(f"{what} field {name} must be {ftype.__name__}, got {value!r}")
+
+
+_MANIFEST_TYPES = {"split": str, "class_names": list, "views": int, "feature_dim": int,
+                   "directions": list, "directions_csv": str, "shapes": list}
+
+
 def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
     """Plain-text ingestion: a JSON manifest plus one feature CSV per shape.
 
@@ -342,7 +346,8 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
     ``directions`` (inline list of [x, y, z]) or ``directions_csv`` (path),
     and ``shapes``, a list of ``{"features_csv": path, "label": int}``.
     Relative paths resolve against the manifest's directory; each CSV holds
-    views rows of feature_dim comma-separated values.
+    views rows of feature_dim comma-separated values. A value whose JSON type
+    is not the one ``_MANIFEST_TYPES`` names is a FormatError.
     """
     manifest_path = Path(manifest_path)
     try:
@@ -355,8 +360,8 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
     missing = required - set(manifest)
     if missing:
         raise FormatError(f"manifest missing fields: {sorted(missing)}")
-    views = int(manifest["views"])
-    feature_dim = int(manifest["feature_dim"])
+    check_json_types(manifest, _MANIFEST_TYPES, "manifest")
+    views, feature_dim = manifest["views"], manifest["feature_dim"]
     base = manifest_path.parent
 
     def load_csv(rel, what: str, columns: int) -> np.ndarray:
@@ -374,7 +379,10 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
         return arr
 
     if "directions" in manifest:
-        dirs = np.asarray(manifest["directions"], dtype=np.float64)
+        try:
+            dirs = np.asarray(manifest["directions"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"manifest directions are not a numeric array: {exc}") from exc
         if dirs.shape != (views, 3):
             raise ValidationError(
                 f"manifest directions: shape {dirs.shape}, expected ({views}, 3)"
@@ -390,20 +398,17 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
 
     samples = []
     for i, entry in enumerate(manifest["shapes"]):
-        if "features_csv" not in entry or "label" not in entry:
+        if not isinstance(entry, dict) or "features_csv" not in entry or "label" not in entry:
             raise FormatError(f"shape entry {i} needs 'features_csv' and 'label'")
+        check_json_types(entry, {"features_csv": str, "label": int}, f"shape entry {i}")
         feats = load_csv(entry["features_csv"], f"features of shape {i}", feature_dim)
         samples.append(
-            ShapeSample(
-                label=int(entry["label"]),
-                features=feats.astype(np.float32),
-                graph=graph,
-            )
+            ShapeSample(label=entry["label"], features=feats.astype(np.float32), graph=graph)
         )
     dataset = Dataset(
         samples=samples,
         class_names=[str(n) for n in manifest["class_names"]],
-        split=str(manifest["split"]),
+        split=manifest["split"],
     )
     validate_dataset(dataset)
     return dataset

@@ -40,53 +40,22 @@ class ViewGraph:
         return self.directions.shape[0]
 
 
-def _tetrahedron() -> np.ndarray:
-    v = np.array(
-        [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=np.float64
-    )
-    return v / math.sqrt(3.0)
+def _cyclic(a: float, b: float) -> list:
+    """The cyclic placements (0, ±a, ±b), (±a, ±b, 0) and (±b, 0, ±a)."""
+    return [row for sa in (-a, a) for sb in (-b, b)
+            for row in ([0.0, sa, sb], [sa, sb, 0.0], [sb, 0.0, sa])]
 
 
-def _octahedron() -> np.ndarray:
-    return np.concatenate([np.eye(3), -np.eye(3)])
-
-
-def _cube() -> np.ndarray:
-    corners = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    return np.array(corners, dtype=np.float64) / math.sqrt(3.0)
-
-
-def _icosahedron() -> np.ndarray:
-    p = _GOLDEN_RATIO
-    base = []
-    for a in (-1.0, 1.0):
-        for b in (-p, p):
-            base.append([0.0, a, b])
-            base.append([a, b, 0.0])
-            base.append([b, 0.0, a])
-    v = np.array(base, dtype=np.float64)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _dodecahedron() -> np.ndarray:
-    p = _GOLDEN_RATIO
-    q = 1.0 / p
-    verts = [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    for a in (-q, q):
-        for b in (-p, p):
-            verts.append([0.0, a, b])
-            verts.append([a, b, 0.0])
-            verts.append([b, 0.0, a])
-    v = np.array(verts, dtype=np.float64)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-_PLATONIC_BUILDERS = {
-    4: _tetrahedron,
-    6: _octahedron,
-    8: _cube,
-    12: _icosahedron,
-    20: _dodecahedron,
+# Vertices of the regular polyhedra from the cube's sign corners and the cyclic
+# placements: the tetrahedron is the corners with a positive product, the
+# icosahedron (0, ±1, ±φ), the dodecahedron the corners plus (0, ±1/φ, ±φ).
+_CORNERS = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+_PLATONIC = {
+    4: [c for c in _CORNERS if c[0] * c[1] * c[2] > 0],
+    6: np.concatenate([np.eye(3), -np.eye(3)]),  # -0.0 entries kept: synth stores them
+    8: _CORNERS,
+    12: _cyclic(1.0, _GOLDEN_RATIO),
+    20: _CORNERS + _cyclic(1.0 / _GOLDEN_RATIO, _GOLDEN_RATIO),
 }
 
 
@@ -115,8 +84,9 @@ def default_viewpoints(num_views: int) -> np.ndarray:
     """
     if num_views < 2:
         raise ValueError(f"need at least 2 viewpoints, got {num_views}")
-    if num_views in _PLATONIC_BUILDERS:
-        points = _PLATONIC_BUILDERS[num_views]()
+    if num_views in _PLATONIC:
+        points = np.array(_PLATONIC[num_views], dtype=np.float64)
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
     else:
         points = fibonacci_sphere(num_views)
     order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))

@@ -48,7 +48,7 @@ from .classifier import (
 # The dense all_cumulative_correlations is not called here; perfbench/spans.py
 # traces the correlation stage under this name.
 from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
-from .dataio import DEFAULT_SIGMA, read_container, write_atomic
+from .dataio import DEFAULT_SIGMA, check_json_types, read_container, write_atomic
 from .errors import FormatError
 from .numeric import row_blocks, softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
@@ -317,7 +317,7 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     feature = global_feature(agg, params.cls)
     logits = classify(feature, params.cls)
     trace = ForwardTrace(feats, sim, labels, emb, weighted, alpha, agg, feature, logits,
-                         stable_softmax(logits, axis=-1))
+                         stable_softmax(logits))
     return trace._map(lambda v: v[0]) if single else trace
 
 
@@ -436,9 +436,6 @@ def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.nd
 # two more blocks after attn_node_vec, attn_ctx_vec (F) and attn_bias (L),
 # which no computation reads; they are read and dropped.
 
-# JSON types a checkpoint's config value may have, by TrainConfig field type.
-_CONFIG_JSON_TYPES = {bool: (bool,), int: (int,), float: (int, float)}
-
 # Fields that older checkpoints carry but TrainConfig no longer has. They are
 # type-checked like the others and then dropped, so those checkpoints load;
 # ``no_attention_c`` gave uniform weights and loads as ``no_attention``.
@@ -460,20 +457,6 @@ def save_checkpoint(path, params: ModelParams, config: TrainConfig) -> None:
     write_atomic(path, parts, "checkpoint")
 
 
-def _check_config_types(cfg_dict: dict) -> None:
-    types = {f.name: f.type for f in fields(TrainConfig)} | _RETIRED_FIELDS
-    for name, value in cfg_dict.items():
-        ftype = types[name]
-        # bool is a subclass of int, so it is told apart explicitly
-        if isinstance(value, bool) != (ftype is bool) or not isinstance(
-            value, _CONFIG_JSON_TYPES[ftype]
-        ):
-            raise FormatError(
-                f"checkpoint config field {name} must be {ftype.__name__}, "
-                f"got {value!r}"
-            )
-
-
 def load_checkpoint(path, digest=None) -> tuple[ModelParams, TrainConfig]:
     """Read a checkpoint back; raises FormatError/DataIOError on damage.
     The payload is read once into one float64 array, and each block is a view
@@ -488,7 +471,8 @@ def load_checkpoint(path, digest=None) -> tuple[ModelParams, TrainConfig]:
         known = {f.name for f in fields(TrainConfig)}
         if not isinstance(cfg_dict, dict) or set(cfg_dict) - set(_RETIRED_FIELDS) != known:
             raise FormatError("checkpoint config block has wrong fields")
-        _check_config_types(cfg_dict)
+        check_json_types(cfg_dict, {f.name: f.type for f in fields(TrainConfig)}
+                         | _RETIRED_FIELDS, "checkpoint config")
         cfg_dict["no_attention"] |= cfg_dict.get("no_attention_c", False)
         try:
             config = TrainConfig(**{name: cfg_dict[name] for name in known})

@@ -4,26 +4,26 @@ and the row slicing of blocked matrix products."""
 import numpy as np
 
 
-def stable_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Softmax with max-subtraction so large logits cannot overflow.
+def stable_softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with max-subtraction so large logits cannot overflow.
 
     Subtracting the per-row maximum is exact up to the usual shift
     invariance of softmax, so the result is unchanged mathematically.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / np.sum(exp, axis=-1, keepdims=True)
 
 
-def softmax_grad(output: np.ndarray, grad_output: np.ndarray, axis: int = -1) -> np.ndarray:
+def softmax_grad(output: np.ndarray, grad_output: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the logits given softmax ``output`` and an upstream gradient.
 
     Computes y * (g - <g, y>) row-wise, the softmax Jacobian-vector product.
     A constant upstream gradient is annihilated exactly, matching the shift
     invariance of the forward pass.
     """
-    inner = np.sum(grad_output * output, axis=axis, keepdims=True)
+    inner = np.sum(grad_output * output, axis=-1, keepdims=True)
     return output * (grad_output - inner)
 
 

@@ -55,7 +55,7 @@ def embed(features: np.ndarray, params: LatentMapParams) -> np.ndarray:
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
     logits = features @ params.filters.T + params.offsets
-    return stable_softmax(logits, axis=-1)
+    return stable_softmax(logits)
 
 
 def embed_backward(features: np.ndarray, embeddings: np.ndarray,
@@ -69,5 +69,5 @@ def embed_backward(features: np.ndarray, embeddings: np.ndarray,
         raise ValueError(f"upstream gradient shape {np.shape(grad_embedding)}, "
                          f"expected {np.shape(embeddings)}")
     # as rows: a single vector is one row, a K=1 product and a one-row sum
-    rows = softmax_grad(embeddings, grad_embedding, axis=-1).reshape(-1, embeddings.shape[-1])
+    rows = softmax_grad(embeddings, grad_embedding).reshape(-1, embeddings.shape[-1])
     return rows.T @ np.reshape(features, (len(rows), -1)), rows.sum(axis=0)

@@ -527,6 +527,21 @@ class TestCsvImport:
         with pytest.raises(FormatError):
             import_csv(mpath)
 
+    # manifest values of the wrong JSON type, by case: each edits the manifest
+    MISTYPED = {
+        "views a string": lambda m: m.update(views="four"),
+        "views null": lambda m: m.update(views=None),
+        "views true": lambda m: m.update(views=True),
+        "label a string": lambda m: m["shapes"][0].update(label="x"),
+        "label a float": lambda m: m["shapes"][0].update(label=1.5),
+        "label true": lambda m: m["shapes"][0].update(label=True),
+        "ragged inline directions": lambda m: m.update(directions=[[1.0, 0.0, 0.0], [0.0, 1.0]]),
+        "entry not an object": lambda m: m.update(shapes=[3]),
+        "shapes not a list": lambda m: m.update(shapes=5),
+        "split a number": lambda m: m.update(split=7),
+        "class names a string": lambda m: m.update(class_names="ab"),
+    }
+
     @pytest.mark.parametrize("case,error,message", [
         ("absent manifest", DataIOError, "cannot read manifest"),
         ("manifest is a directory", DataIOError, "cannot read manifest"),
@@ -538,6 +553,19 @@ class TestCsvImport:
         ("entry without features_csv", FormatError,
          "shape entry 1 needs 'features_csv' and 'label'"),
         ("entry without label", FormatError, "shape entry 2 needs 'features_csv' and 'label'"),
+        ("views a string", FormatError, "manifest field views must be int, got 'four'"),
+        ("views null", FormatError, "manifest field views must be int, got None"),
+        ("views true", FormatError, "manifest field views must be int, got True"),
+        ("label a string", FormatError, "shape entry 0 field label must be int, got 'x'"),
+        ("label a float", FormatError, "shape entry 0 field label must be int, got 1.5"),
+        ("label true", FormatError, "shape entry 0 field label must be int, got True"),
+        ("ragged inline directions", FormatError,
+         "manifest directions are not a numeric array"),
+        ("entry not an object", FormatError, "shape entry 0 needs 'features_csv' and 'label'"),
+        ("shapes not a list", FormatError, "manifest field shapes must be list, got 5"),
+        ("split a number", FormatError, "manifest field split must be str, got 7"),
+        ("class names a string", FormatError,
+         "manifest field class_names must be list, got 'ab'"),
     ])
     def test_rejects_bad_manifest(self, tmp_path, case, error, message):
         mpath = self._write_manifest(tmp_path)
@@ -557,8 +585,10 @@ class TestCsvImport:
             del blob["directions_csv"]
         elif case == "entry without features_csv":
             del blob["shapes"][1]["features_csv"]
-        else:
+        elif case == "entry without label":
             del blob["shapes"][2]["label"]
+        else:
+            self.MISTYPED[case](blob)
         if mpath.is_file():
             mpath.write_text(json.dumps(blob))
         with pytest.raises(error, match=message):
