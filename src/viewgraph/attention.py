@@ -88,14 +88,16 @@ def normalize_attention(scores: np.ndarray) -> np.ndarray:
     return stable_softmax(scores)
 
 
-def aggregate(embeddings, weighted: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+def aggregate(embeddings, weighted: np.ndarray, alpha: np.ndarray, out=None) -> np.ndarray:
     """``sum_j alpha_j outer(d_j, w_j) = E^T diag(alpha) W``, (..., N, N), the
-    bilinear-pooling identity; ``alpha^T W``, (..., N), for vector nodes."""
+    bilinear-pooling identity; ``alpha^T W``, (..., N), for vector nodes.
+    Written into ``out``, of the result's shape, when one is given."""
     if alpha.shape != weighted.shape[:-1]:
         raise ValueError(f"{alpha.shape} weights for {weighted.shape[:-1]} nodes")
-    if embeddings is None:
-        return (alpha[..., None, :] @ weighted)[..., 0, :]
-    return np.swapaxes(embeddings * alpha[..., None], -1, -2) @ weighted
+    if embeddings is None:  # one (1, V) @ (V, N) row per batch item
+        rows = None if out is None else out.reshape(*out.shape[:-1], 1, -1)
+        return np.matmul(alpha[..., None, :], weighted, out=rows)[..., 0, :]
+    return np.matmul(np.swapaxes(embeddings * alpha[..., None], -1, -2), weighted, out=out)
 
 
 def aggregate_backward(embeddings, weighted: np.ndarray, alpha: np.ndarray, grad_agg: np.ndarray):

@@ -361,6 +361,8 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
     if missing:
         raise FormatError(f"manifest missing fields: {sorted(missing)}")
     check_json_types(manifest, _MANIFEST_TYPES, "manifest")
+    if not all(isinstance(name, str) for name in manifest["class_names"]):
+        raise FormatError(f"manifest class names must be str, got {manifest['class_names']!r}")
     views, feature_dim = manifest["views"], manifest["feature_dim"]
     base = manifest_path.parent
 
@@ -407,7 +409,7 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
         )
     dataset = Dataset(
         samples=samples,
-        class_names=[str(n) for n in manifest["class_names"]],
+        class_names=manifest["class_names"],
         split=manifest["split"],
     )
     validate_dataset(dataset)

@@ -241,8 +241,10 @@ class ForwardTrace:
         return ForwardTrace(**{k: None if v is None else fn(v) for k, v in vars(self).items()})
 
 
-# Shapes per forward call in ``infer``: a chunk's (C, N, N) descriptors stay
-# near 4 MB at the paper point.
+# ``infer`` runs the feature-layer GEMM on blocks of about INFER_BLOCK_BYTES of
+# descriptors (96 rows at the paper point), as BLAS packs all of ``feat_weights``
+# per call, and every other stage on slices of EVAL_CHUNK shapes.
+INFER_BLOCK_BYTES = 12 << 20
 EVAL_CHUNK = 32
 
 
@@ -263,37 +265,21 @@ def check_samples(samples, config: TrainConfig) -> None:
                              f"sigma=...) or generate_synthetic(..., sigma=...)")
 
 
-def _inputs(samples, config: TrainConfig):
-    """Check every sample once. Returns ``(features, similarity, labels,
-    single)``: (B, V, D) float64 features, (B, V, V) similarities (all ones
-    under no_spatiality, None when pooled), (B,) labels, and whether
-    ``samples`` was one sample (anything with a label) rather than a sequence.
-    """
-    single = hasattr(samples, "label")
-    batch = [samples] if single else list(samples)
-    if not batch:
-        raise ValueError("empty batch")
-    check_samples(batch, config)
-    feats = np.array([s.features for s in batch], dtype=np.float64)
-    if config.pooled_mode:
-        sim = None
-    elif config.no_spatiality:
-        sim = np.ones((len(batch), config.views, config.views))
-    else:
-        sim = np.array([s.graph.similarity for s in batch])
-    return feats, sim, np.array([s.label for s in batch], dtype=np.int64), single
-
-
-def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
-    """Run the pipeline on a sequence of shapes, or one sample (the B=1 view).
+def _describe(batch, params: ModelParams, config: TrainConfig, out) -> ForwardTrace:
+    """Every stage before the feature layer, on a sequence of samples checked
+    here: embed, ``W = S @ E``, attention and aggregate. The descriptors are
+    written straight into ``out``, (B, K) rows; the trace's ``agg`` views
+    them, and its feature-layer and classifier fields are None.
 
     The flags pick each stage once per batch: identity embed (no_latent),
     all-ones similarity (no_spatiality), uniform weights (no_attention),
     vector aggregate (no_correlation) or a pooled descriptor (mean_pool,
     max_pool).
     """
-    validate_params(params, config)
-    feats, sim, labels, single = _inputs(samples, config)
+    if not batch:
+        raise ValueError("empty batch")
+    check_samples(batch, config)
+    feats = np.array([s.features for s in batch], dtype=np.float64)
     size, views, _ = feats.shape
     if config.no_latent:
         if not np.isfinite(feats).all():
@@ -301,23 +287,42 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
         emb = feats
     else:
         emb = embed(feats.reshape(size * views, -1), params.latent).reshape(size, views, -1)
-    weighted = alpha = None
+    agg = out if config.vector_descriptor else out.reshape(size, *emb.shape[2:] * 2)
+    sim = weighted = alpha = None
     if config.mean_pool:
-        agg = emb.mean(axis=1)
+        np.mean(emb, axis=1, out=agg)
     elif config.max_pool:
-        agg = emb.max(axis=1)
+        np.max(emb, axis=1, out=agg)
     else:
+        sim = (np.ones((size, views, views)) if config.no_spatiality
+               else np.array([s.graph.similarity for s in batch]))
         weighted = sim @ emb
         left = None if config.no_correlation else emb
         if config.no_attention:
             alpha = np.full((size, views), 1.0 / views)
         else:
             alpha = normalize_attention(attention_scores(left, weighted, params.attn))
-        agg = aggregate(left, weighted, alpha)
-    feature = global_feature(agg, params.cls)
+        aggregate(left, weighted, alpha, out=agg)
+    labels = np.array([s.label for s in batch], dtype=np.int64)
+    return ForwardTrace(feats, sim, labels, emb, weighted, alpha, agg, None, None, None)
+
+
+def _head(feature: np.ndarray, params: ModelParams):
+    """``(global_feature, logits, probs)`` of (B, F) global features."""
     logits = classify(feature, params.cls)
-    trace = ForwardTrace(feats, sim, labels, emb, weighted, alpha, agg, feature, logits,
-                         stable_softmax(logits))
+    return feature, logits, stable_softmax(logits)
+
+
+def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
+    """Run the pipeline on a sequence of shapes, or one sample (the B=1 view,
+    anything with a label): ``_describe``, the feature layer, ``_head``."""
+    validate_params(params, config)
+    single = hasattr(samples, "label")
+    batch = [samples] if single else list(samples)
+    desc = np.empty((len(batch), config.descriptor_dim))
+    trace = _describe(batch, params, config, desc)
+    feature = global_feature(desc, params.cls)
+    trace.global_feature, trace.logits, trace.probs = _head(feature, params)
     return trace._map(lambda v: v[0]) if single else trace
 
 
@@ -408,17 +413,37 @@ def count_hits(trace) -> int:
 
 
 def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
-    """``forward`` over a sequence of shapes in the ``row_blocks`` of
-    ``EVAL_CHUNK``: the ``names`` fields concatenated over the slices, every
-    other field None. Each slice's full trace is dropped before the next runs."""
-    if len(samples) == 0:
+    """``forward`` over a sequence of shapes: the ``names`` fields, every other
+    field None. ``_describe`` and ``_head`` run on the ``row_blocks`` of
+    ``EVAL_CHUNK`` shapes. The feature layer runs once per block of whole slices
+    (split evenly, at most ``INFER_BLOCK_BYTES`` unless one slice is more), on
+    one reused buffer that ``_describe`` fills. So only the feature GEMM's row
+    count depends on the budget: BLAS may sum a small GEMM's row, such as the
+    classifier's, differently at another row count."""
+    count, width = len(samples), config.descriptor_dim
+    if count == 0:
         raise ValueError("cannot run inference on an empty dataset")
-    kept = []
-    for rows in row_blocks(len(samples), EVAL_CHUNK):
-        trace = forward(samples[rows], params, config)
-        kept.append([getattr(trace, name) for name in names])
-        del trace
-    columns = dict(zip(names, map(np.concatenate, zip(*kept))))
+    validate_params(params, config)
+    slices = math.ceil(count / EVAL_CHUNK)
+    per_block = max(1, INFER_BLOCK_BYTES // (8 * width * EVAL_CHUNK))
+    blocks = row_blocks(count, EVAL_CHUNK * math.ceil(slices / math.ceil(slices / per_block)))
+    buffer = np.empty((max(b.stop - b.start for b in blocks), width))
+    kept = {name: [] for name in names}
+    head = ("global_feature", "logits", "probs")
+    for block in blocks:
+        desc, batch = buffer[:block.stop - block.start], list(samples[block])
+        inner = row_blocks(len(batch), EVAL_CHUNK)
+        for rows in inner:
+            trace = _describe(batch[rows], params, config, desc[rows])
+            for name in kept.keys() - set(head):  # agg views the reused buffer
+                kept[name].append(np.copy(getattr(trace, name)))
+            del trace
+        feature = global_feature(desc, params.cls)
+        for rows in inner:
+            for name, value in zip(head, _head(feature[rows], params)):
+                if name in kept:
+                    kept[name].append(value)
+    columns = {name: np.concatenate(parts) for name, parts in kept.items()}
     return ForwardTrace(**{f.name: columns.get(f.name) for f in fields(ForwardTrace)})
 
 

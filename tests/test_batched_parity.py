@@ -9,12 +9,14 @@ config and every ablation flag.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import viewgraph.model as vgm
 from oracles import dense_backward, dense_forward, dense_loss
+from viewgraph.classifier import global_feature
 from viewgraph.cli import main as cli_main
 from viewgraph.dataio import Dataset, ShapeSample
 from viewgraph.evalmetrics import accuracy
@@ -44,6 +46,8 @@ FLAGS = (
 TOLERANCE = 1e-12
 TRACE_FIELDS = ("embeddings", "weighted_sums", "alpha", "agg", "global_feature",
                 "logits", "probs")
+SMALL = dict(num_classes=4, input_dim=32, views=12, n_patterns=8, feature_dim=16)
+PAPER = dict(num_classes=10, input_dim=64, views=20, n_patterns=128, feature_dim=256)
 
 
 def instance(size, flags=None, dims=None, seed=0):
@@ -110,8 +114,7 @@ def test_batch_matches_dense_per_shape_oracle(flag, size):
 
 
 def test_paper_point_batch_matches_dense_oracle():
-    dims = dict(num_classes=10, input_dim=64, views=20, n_patterns=128, feature_dim=256)
-    config, samples, params = instance(5, dims=dims, seed=3)
+    config, samples, params = instance(5, dims=PAPER, seed=3)
     # unit-scale weights would saturate every sigmoid at K = N^2 = 16,384
     params.cls.feat_weights[...] /= config.descriptor_dim
     assert_matches_dense(config, samples, params)
@@ -119,7 +122,7 @@ def test_paper_point_batch_matches_dense_oracle():
 
 @pytest.mark.parametrize("flag", (None, "no_correlation", "max_pool"))
 def test_predict_features_matches_per_shape_forward(flag):
-    # more than two chunks, the last one partial
+    # more than two describe slices, the last one partial
     config, samples, params = instance(2 * EVAL_CHUNK + 7, {flag: True} if flag else {})
     dataset = Dataset(samples=samples, class_names=[str(i) for i in range(4)])
     per_shape = [forward(s, params, config) for s in samples]
@@ -146,20 +149,82 @@ def test_predict_features_matches_per_shape_forward(flag):
 @pytest.mark.parametrize("size", (1, 2, EVAL_CHUNK, EVAL_CHUNK + 1, EVAL_CHUNK + 2,
                                   2 * EVAL_CHUNK + 1))
 def test_infer_never_runs_a_lone_last_row(size, monkeypatch):
-    # a one-row feature GEMM takes BLAS's GEMV path, whose sums differ in the
-    # last bits: a lone last row would make a shape's output depend on the
-    # set's length mod EVAL_CHUNK
+    # a one-row GEMM takes BLAS's GEMV path, whose sums differ in the last
+    # bits: a lone last row in a feature-layer block or a describe slice
+    # would make a shape's output depend on where the set's length falls
     config, samples, params = instance(size)
-    lengths = []
+    gemm_rows, slice_rows = [], []
+    describe, default_budget = vgm._describe, vgm.INFER_BLOCK_BYTES
 
-    def recording(batch, *args):
-        lengths.append(len(batch))
-        return forward(batch, *args)
+    def recording_gemm(desc, cls):
+        gemm_rows.append(len(desc))
+        return global_feature(desc, cls)
 
-    monkeypatch.setattr(vgm, "forward", recording)
-    infer(samples, params, config, "global_feature")
-    assert sum(lengths) == size and max(lengths) <= EVAL_CHUNK + 1
-    assert 1 not in lengths or size == 1
+    def recording_describe(batch, *args):
+        slice_rows.append(len(batch))
+        return describe(batch, *args)
+
+    monkeypatch.setattr(vgm, "global_feature", recording_gemm)
+    monkeypatch.setattr(vgm, "_describe", recording_describe)
+    row_bytes = 8 * config.descriptor_dim
+    # blocks of one 2-row slice, of two slices, and the default budget
+    for chunk, budget in ((2, 2 * row_bytes), (2, 5 * row_bytes), (EVAL_CHUNK, default_budget)):
+        monkeypatch.setattr(vgm, "EVAL_CHUNK", chunk)
+        monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", budget)
+        gemm_rows.clear()
+        slice_rows.clear()
+        infer(samples, params, config, "global_feature")
+        # the describe slices are the ones forward would be given, at any budget
+        assert slice_rows == [len(range(size)[rows]) for rows in row_blocks(size, chunk)]
+        assert sum(gemm_rows) == size and max(gemm_rows) <= budget // row_bytes + 1
+        assert 1 not in gemm_rows or size == 1
+
+
+@pytest.mark.parametrize("flag", (None,) + FLAGS)
+@pytest.mark.parametrize("dims", (SMALL, PAPER), ids=("small", "paper"))
+def test_infer_outputs_do_not_depend_on_the_block_budget(dims, flag, monkeypatch):
+    # Blocks of one 2-row slice, uneven blocks (4 + 4 + 5 rows) and one
+    # block of all 13 rows. Every stage but the feature layer runs on the
+    # same slices at any budget, so alpha is the same bytes by construction.
+    # A feature-GEMM row is the same bytes at any row count M >= 2 while
+    # BLAS keeps one kernel, as at the paper point's K = 16,384 (4,096 under
+    # no_latent). OpenBLAS has a small-matrix kernel that sums in another
+    # order; with the paper point's vector descriptors (K = 128, F = 256) it
+    # takes M <= 4 and not M = 13, so there the rows agree to rounding only.
+    size = 13
+    config, samples, params = instance(size, {flag: True} if flag else {}, dims=dims, seed=11)
+    # unit-scale weights would saturate every sigmoid, which hides rounding
+    params.cls.feat_weights[...] /= config.descriptor_dim
+    names = ("logits", "probs", "global_feature") + (() if config.pooled_mode else ("alpha",))
+    monkeypatch.setattr(vgm, "EVAL_CHUNK", 2)
+    runs = []
+    for budget_rows in (2, 5, size):
+        monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", budget_rows * 8 * config.descriptor_dim)
+        runs.append(infer(samples, params, config, *names))
+    feature = runs[0].global_feature
+    assert np.count_nonzero((feature > 0.01) & (feature < 0.99)) > feature.size // 2
+    exact = dims is SMALL or not config.vector_descriptor
+    for name in names:
+        for run in runs[1:]:
+            if exact or name == "alpha":
+                np.testing.assert_array_equal(getattr(run, name), getattr(runs[0], name), name)
+            else:
+                assert relative_error(getattr(run, name), getattr(runs[0], name)) <= TOLERANCE
+
+
+def test_infer_holds_one_descriptor_buffer():
+    # 200 paper-size shapes run as feature-layer blocks of 96 rows from one
+    # 12 MiB buffer; a describe slice holding its own (32, N, N) descriptors
+    # would add 4 MiB
+    config, samples, params = instance(200, dims=PAPER, seed=5)
+    params.cls.feat_weights[...] /= config.descriptor_dim
+    tracemalloc.start()
+    try:
+        infer(samples, params, config, "global_feature")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vgm.INFER_BLOCK_BYTES + (4 << 20), f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_row_blocks_cover_the_rows_without_a_lone_row():

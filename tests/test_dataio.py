@@ -540,6 +540,7 @@ class TestCsvImport:
         "shapes not a list": lambda m: m.update(shapes=5),
         "split a number": lambda m: m.update(split=7),
         "class names a string": lambda m: m.update(class_names="ab"),
+        "class names not strings": lambda m: m.update(class_names=[1, None]),
     }
 
     @pytest.mark.parametrize("case,error,message", [
@@ -566,6 +567,8 @@ class TestCsvImport:
         ("split a number", FormatError, "manifest field split must be str, got 7"),
         ("class names a string", FormatError,
          "manifest field class_names must be list, got 'ab'"),
+        ("class names not strings", FormatError,
+         r"manifest class names must be str, got \[1, None\]"),
     ])
     def test_rejects_bad_manifest(self, tmp_path, case, error, message):
         mpath = self._write_manifest(tmp_path)
