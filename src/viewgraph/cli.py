@@ -291,8 +291,6 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_attention_dump(args) -> int:
     params, config, dataset = _load_model_and_data((args.model, None), (args.data, None))
-    if config.pooled_mode:
-        raise ViewGraphError("pooled models have no attention weights to dump")
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
     alphas = infer(dataset.samples, params, config, "alpha").alpha
     for si, alpha in enumerate(alphas):

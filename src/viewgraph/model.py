@@ -419,7 +419,8 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
     (split evenly, at most ``INFER_BLOCK_BYTES`` unless one slice is more), on
     one reused buffer that ``_describe`` fills. So only the feature GEMM's row
     count depends on the budget: BLAS may sum a small GEMM's row, such as the
-    classifier's, differently at another row count."""
+    classifier's, differently at another row count. A name whose field the
+    describe step leaves None under ``config`` is a ValueError."""
     count, width = len(samples), config.descriptor_dim
     if count == 0:
         raise ValueError("cannot run inference on an empty dataset")
@@ -436,7 +437,11 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
         for rows in inner:
             trace = _describe(batch[rows], params, config, desc[rows])
             for name in kept.keys() - set(head):  # agg views the reused buffer
-                kept[name].append(np.copy(getattr(trace, name)))
+                value = getattr(trace, name)
+                if value is None:
+                    raise ValueError(f"this config computes no {name}: it skips the "
+                                     "view-graph and attention stages")
+                kept[name].append(np.copy(value))
             del trace
         feature = global_feature(desc, params.cls)
         for rows in inner:

@@ -8,6 +8,7 @@ equal the per-shape gradients summed, to 1e-12 relative under the default
 config and every ablation flag.
 """
 
+import dataclasses
 import struct
 import tracemalloc
 
@@ -34,15 +35,9 @@ from viewgraph.model import (
 )
 from viewgraph.numeric import row_blocks
 
-FLAGS = (
-    "no_spatiality",
-    "no_attention",
-    "no_latent",
-    "no_correlation",
-    "mean_pool",
-    "max_pool",
-    "drop_eq10_second_term",
-)
+# The ablation flags: the boolean fields of TrainConfig. The ignored
+# drop_eq10_second_term keyword is an InitVar, not a field.
+FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is bool)
 TOLERANCE = 1e-12
 TRACE_FIELDS = ("embeddings", "weighted_sums", "alpha", "agg", "global_feature",
                 "logits", "probs")
@@ -144,6 +139,16 @@ def test_predict_features_matches_per_shape_forward(flag):
     assert relative_error(predict_features(params, config, dataset), want) <= TOLERANCE
     hits = sum(int(t.probs.argmax()) == s.label for t, s in zip(per_shape, samples))
     assert accuracy(params, config, dataset) == hits / len(samples)
+
+
+@pytest.mark.parametrize("name", ("similarity", "weighted_sums", "alpha"))
+@pytest.mark.parametrize("pool", ("mean_pool", "max_pool"))
+def test_infer_names_a_field_the_config_does_not_compute(pool, name):
+    # the pooled modes skip the view graph and attention, so the describe
+    # step leaves these fields None, and infer says which was asked for
+    config, samples, params = instance(3, {pool: True})
+    with pytest.raises(ValueError, match=f"this config computes no {name}:"):
+        infer(samples, params, config, "probs", name)
 
 
 @pytest.mark.parametrize("size", (1, 2, EVAL_CHUNK, EVAL_CHUNK + 1, EVAL_CHUNK + 2,

@@ -150,7 +150,8 @@ class TestTrainCommand:
         model = tmp_path / "m.3dvgm"
         options = dict(n_patterns=3, feature_dim=5, sigma=2.5, learning_rate=0.01,
                        epochs=2, batch_size=3, seed=7, plateau_patience=4)
-        flags = ["no_spatiality", "no_attention", "no_latent", "no_correlation", pool]
+        flags = [f.name for f in dataclasses.fields(TrainConfig)
+                 if f.type is bool and (f.name == pool or not f.name.endswith("_pool"))]
         argv = ["train", "--data", str(data), "--out", str(model)]
         for name, value in options.items():
             argv += ["--" + name.replace("_", "-"), str(value)]

@@ -27,15 +27,9 @@ from viewgraph.model import (
     validate_params,
 )
 
-ALL_FLAGS = (
-    "no_spatiality",
-    "no_attention",
-    "no_latent",
-    "no_correlation",
-    "mean_pool",
-    "max_pool",
-    "drop_eq10_second_term",
-)
+# The ablation flags: the boolean fields of TrainConfig. The ignored
+# drop_eq10_second_term keyword is an InitVar, not a field.
+ALL_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is bool)
 
 
 def make_instance(seed=0, views=4, classes=3, inp=5, patterns=4, feat=6, **flags):
@@ -115,6 +109,15 @@ class TestForward:
         np.testing.assert_allclose(trace.probs.sum(), 1.0, atol=1e-9)
         loss = sample_loss(trace, sample)
         assert np.isfinite(loss) and loss > 0.0
+
+    def test_non_finite_descriptor_is_rejected(self):
+        # raw float64 features of 1e200 (no_latent) pass the finiteness check,
+        # and their uniform-weight (no_attention) products overflow
+        cfg, sample, params = make_instance(no_latent=True, no_attention=True)
+        sample = ShapeSample(sample.label, np.full((4, 5), 1e200), sample.graph)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="descriptor must be finite"):
+            forward(sample, params, cfg)
 
     def test_no_attention_gives_uniform_weights(self):
         cfg, sample, params = make_instance(no_attention=True)

@@ -9,6 +9,8 @@ random unit directions u per block, the central difference
 shape and on a batch of 16, whose loss is the sum over the batch.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,15 +27,9 @@ from viewgraph.model import (
 )
 from viewgraph.trainer import GRAD_CHECK_FLOOR
 
-FLAGS = (
-    "no_spatiality",
-    "no_attention",
-    "no_latent",
-    "no_correlation",
-    "mean_pool",
-    "max_pool",
-    "drop_eq10_second_term",
-)
+# The ablation flags: the boolean fields of TrainConfig. The ignored
+# drop_eq10_second_term keyword is an InitVar, not a field.
+FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.type is bool)
 STEP = 1e-5
 TOLERANCE = 1e-5
 DIRECTIONS = 2
