@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataIOError, FormatError, ValidationError
-from .geometry import ViewGraph, build_view_graph, default_viewpoints
+from .geometry import DirectionError, ViewGraph, build_view_graph, default_viewpoints
 
 DATASET_MAGIC = b"3DVG-D"
 DATASET_VERSION = 1
@@ -260,18 +260,26 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
                           "sample records")
         r.finish()
     records = records.view(_record_dtype(views, feature_dim))
+    return _assemble(records["label"], records["features"], dirs.reshape(rigs, views, 3),
+                     sigma, class_names, split,
+                     "directions of sample {}" if per_shape else "shared directions")
 
+
+def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Dataset:
+    """The validated Dataset of the samples ``labels`` and ``features`` (each
+    (V, D) float32), with graphs built at ``sigma`` in one call from ``rigs``:
+    (M, V, 3), one rig per sample or a single rig that all samples share.
+    A direction off unit norm is a ValidationError naming its rig by
+    ``where``, formatted with the rig's index; a bad sigma stays the graph
+    build's ValueError.
+    """
     try:
-        graphs = build_view_graph(dirs.reshape(rigs, views, 3), sigma)
-    except ValueError as exc:
-        rig = getattr(exc, "rig", 0)  # a bad sigma is the first rig's error
-        what = f"directions of sample {rig}" if per_shape else "shared directions"
-        raise ValidationError(f"{what}: {exc}") from exc
-    graphs *= num_samples // rigs  # one graph per rig, shared by its samples
-    samples = [
-        ShapeSample(label=int(label), features=feats, graph=graph)
-        for label, feats, graph in zip(records["label"], records["features"], graphs)
-    ]
+        graphs = build_view_graph(rigs, sigma)
+    except DirectionError as exc:
+        raise ValidationError(f"{where.format(exc.rig)}: {exc}") from exc
+    graphs *= len(labels) // len(graphs)
+    samples = [ShapeSample(label=int(label), features=feats, graph=graph)
+               for label, feats, graph in zip(labels, features, graphs)]
     dataset = Dataset(samples=samples, class_names=class_names, split=split)
     validate_dataset(dataset)
     return dataset
@@ -302,22 +310,19 @@ def generate_synthetic(
         raise ValueError("need at least 2 views")
     if noise < 0:
         raise ValueError(f"noise must be >= 0, got {noise}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     dirs = default_viewpoints(views)
-    graph = build_view_graph(dirs, sigma)
     proto_rng = np.random.default_rng([seed, 0])
     response = proto_rng.standard_normal((num_classes, feature_dim, 3))
     offsets = proto_rng.standard_normal((num_classes, feature_dim))
     noise_rng = np.random.default_rng([seed, 1, zlib.crc32(split.encode("utf-8"))])
-    samples = []
-    for label in range(num_classes):
-        clean = dirs @ response[label].T + offsets[label]
-        for _ in range(shapes_per_class):
-            feats = clean + noise * noise_rng.standard_normal((views, feature_dim))
-            samples.append(
-                ShapeSample(label=label, features=feats.astype(np.float32), graph=graph)
-            )
+    clean = [dirs @ r.T + mu for r, mu in zip(response, offsets)]
+    labels = [label for label in range(num_classes) for _ in range(shapes_per_class)]
+    features = [(clean[label] + noise * noise_rng.standard_normal((views, feature_dim)))
+                .astype(np.float32) for label in labels]
     names = [f"class_{i}" for i in range(num_classes)]
-    return Dataset(samples=samples, class_names=names, split=split)
+    return _assemble(labels, features, dirs[None], sigma, names, split, "synthetic directions")
 
 
 # JSON types a value may have, by the Python type it stands for.
@@ -393,24 +398,13 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
         dirs = load_csv(manifest["directions_csv"], "directions CSV", 3)
     else:
         raise FormatError("manifest needs 'directions' or 'directions_csv'")
-    try:
-        graph = build_view_graph(dirs, sigma)
-    except ValueError as exc:
-        raise ValidationError(f"manifest directions: {exc}") from exc
-
-    samples = []
+    features = []
     for i, entry in enumerate(manifest["shapes"]):
         if not isinstance(entry, dict) or "features_csv" not in entry or "label" not in entry:
             raise FormatError(f"shape entry {i} needs 'features_csv' and 'label'")
         check_json_types(entry, {"features_csv": str, "label": int}, f"shape entry {i}")
         feats = load_csv(entry["features_csv"], f"features of shape {i}", feature_dim)
-        samples.append(
-            ShapeSample(label=entry["label"], features=feats.astype(np.float32), graph=graph)
-        )
-    dataset = Dataset(
-        samples=samples,
-        class_names=manifest["class_names"],
-        split=manifest["split"],
-    )
-    validate_dataset(dataset)
-    return dataset
+        features.append(feats.astype(np.float32))
+    labels = [entry["label"] for entry in manifest["shapes"]]
+    return _assemble(labels, features, dirs[None], sigma, manifest["class_names"],
+                     manifest["split"], "manifest directions")

@@ -1,11 +1,12 @@
 """Classification accuracy and retrieval evaluation on global shape features.
 
-Retrieval works on Euclidean distances between global feature vectors. A
-ranked list per query is produced once and reduced to the depths of its
-relevant items (``RetrievalRun.hits``); every metric is computed from those
-depths, so precision/recall/F1 at a cutoff, average precision, NDCG, and the
-interpolated precision-recall curve all agree on ordering and tie handling:
-equal distances rank by ascending gallery index.
+Retrieval ranks the gallery by the Euclidean or the cosine distance between
+global feature vectors (``DISTANCES``). A ranked list per query is produced
+once and reduced to the depths of its relevant items (``RetrievalRun.hits``);
+every metric is computed from those depths, so precision/recall/F1 at a
+cutoff, average precision, NDCG, and the interpolated precision-recall curve
+all agree on ordering and tie handling: equal distances rank by ascending
+gallery index.
 
 All multi-term accumulations inside the metrics use ``math.fsum``, which is
 exactly rounded and therefore independent of summation order. A reference

@@ -103,8 +103,9 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if self.epochs < 0 or self.plateau_patience < 0:
-            raise ValueError("epochs and plateau_patience must be >= 0")
+        for name in ("epochs", "plateau_patience", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mean_pool and self.max_pool:
             raise ValueError("mean_pool and max_pool are mutually exclusive")
 

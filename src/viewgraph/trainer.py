@@ -192,7 +192,6 @@ def grad_check(
     params: ModelParams,
     config: TrainConfig,
     h: float = 1e-5,
-    grad_hook=None,
 ) -> dict:
     """Compare analytic gradients against central finite differences.
 
@@ -201,9 +200,7 @@ def grad_check(
     block's max absolute numeric gradient and a small floor (so blocks with
     genuinely zero gradient compare cleanly). A block ``backward`` leaves
     out has no analytic gradient and counts as zero. The ``feat_weights``
-    factors are multiplied out (``dense_gradient``) before ``grad_hook``,
-    which gets the dense gradients and can mutate them before comparison;
-    tests use it to confirm the check actually fails on wrong gradients.
+    factors are multiplied out (``dense_gradient``) before the comparison.
     """
     if not 0.0 < h < np.inf:
         raise ValueError(f"finite-difference step h must be finite and > 0, got {h}")
@@ -211,8 +208,6 @@ def grad_check(
     trace = forward(sample, work, config)
     analytic = backward(trace, work, config)
     analytic.feat_weights = dense_gradient(analytic.feat_weights)
-    if grad_hook is not None:
-        grad_hook(analytic)
 
     def loss_at() -> float:
         return sample_loss(forward(sample, work, config), sample)

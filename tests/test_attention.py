@@ -125,6 +125,12 @@ class TestAggregate:
         )
         np.testing.assert_allclose(aggregate(None, weighted, alpha), weighted[2], atol=1e-15)
 
+    def test_rejects_weights_of_another_shape(self):
+        emb, weighted = factors(np.random.default_rng(6), 4, 3, batch=(2,))
+        for e in (emb, None):
+            with pytest.raises(ValueError, match=r"\(2, 3\) weights for \(2, 4\) nodes"):
+                aggregate(e, weighted, np.full((2, 3), 0.25))
+
     def test_backward_shapes_and_values(self):
         rng = np.random.default_rng(7)
         emb, weighted = factors(rng, 5, 2, batch=(3,))

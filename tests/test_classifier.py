@@ -89,6 +89,11 @@ class TestClassify:
             assert probs.min() > 0.0
             assert abs(probs.sum() - 1.0) < 1e-9
 
+    def test_rejects_wrong_width(self):
+        params = random_classifier(np.random.default_rng(3), 2, 4, 3)
+        with pytest.raises(ValueError, match=r"feature shape \(2, 5\), expected \(\.\.\., 4\)"):
+            classify(np.zeros((2, 5)), params)
+
     def test_logit_ratio(self):
         # two classes, logits (0, ln 3) -> probabilities (0.25, 0.75)
         params = ClassifierParams(

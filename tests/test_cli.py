@@ -117,6 +117,17 @@ class TestTrainCommand:
         assert payload["git_describe"] is None or isinstance(payload["git_describe"], str)
         assert payload["peak_rss_mb"] > 0.0
 
+    def test_git_that_cannot_start_leaves_no_describe(self, monkeypatch):
+        def no_git(*args, **kwargs):
+            raise OSError("git not found")
+
+        monkeypatch.setattr(cli.subprocess, "run", no_git)
+        cli._software.cache_clear()
+        try:
+            assert cli._software()["git_describe"] is None
+        finally:
+            cli._software.cache_clear()  # later runs look git up again
+
     def test_same_seed_reproduces_checkpoint_bytes(self, tmp_path):
         data = make_dataset(tmp_path / "d.3dvgd")
         a = train_model(data, tmp_path / "a.3dvgm")
@@ -209,6 +220,17 @@ class TestTrainCommand:
         assert f"{field} must be finite and >= 0, got {value}" in errors[0]
         assert "epoch" not in err
         assert not log_file.exists()
+
+
+    def test_negative_sigma_is_named_as_the_sigma(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.3dvgm"),
+                     "--sigma", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: sigma must be finite and >= 0, got -1.0"]
+        assert "directions" not in err
 
 
 class TestEvalCommand:
@@ -538,6 +560,23 @@ class TestUsageAndErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "bad magic" in err
+
+
+    @pytest.mark.parametrize("command", ["synth", "train", "gradcheck"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--classes", "2", "--per-class", "1"]
+        elif command == "train":
+            argv = ["train", "--data", str(make_dataset(tmp_path / "d.3dvgd")),
+                    "--out", str(out)]
+        else:
+            argv = ["gradcheck"]
+        assert main([*argv, "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert errors == ["error: seed must be >= 0, got -1"]
+        assert captured.out == "" and not out.exists()
 
 
 class TestLogging:

@@ -303,6 +303,12 @@ class TestGenerator:
             generate_synthetic(2, 5, 1, 4, 0.1, 0)
         with pytest.raises(ValueError):
             generate_synthetic(2, 5, 6, 4, -0.1, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            generate_synthetic(2, 5, 6, 4, 0.1, -1)
+
+    def test_output_is_validated_like_a_loaded_dataset(self):
+        with pytest.raises(ValidationError, match="sample 0: non-finite feature values"):
+            generate_synthetic(2, 2, 4, 3, np.inf, 0)
 
 
 class TestValidation:
@@ -345,6 +351,12 @@ class TestValidation:
         ds = self._dataset()
         ds.class_names = []
         with pytest.raises(FormatError, match="dataset has no classes"):
+            validate_dataset(ds)
+
+    def test_zero_feature_dimension(self):
+        graph = build_view_graph(default_viewpoints(4), 10.0)
+        ds = Dataset([ShapeSample(0, np.zeros((4, 0), np.float32), graph)], ["a"])
+        with pytest.raises(FormatError, match="feature dimension must be >= 1"):
             validate_dataset(ds)
 
 
@@ -448,6 +460,13 @@ class TestLoaderErrors:
         with pytest.raises(ValidationError, match=r"^shared directions: direction 1 is not"):
             load(path)
 
+    @pytest.mark.parametrize("sigma", [-1.0, np.nan])
+    def test_bad_sigma_is_the_graph_builds_value_error(self, tmp_path, sigma):
+        path, _ = self._valid_bytes(tmp_path)
+        with pytest.raises(ValueError, match="^sigma must be finite and >= 0") as excinfo:
+            load(path, sigma=sigma)
+        assert not isinstance(excinfo.value, ValidationError)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataIOError):
             load(tmp_path / "nope.3dvgd")
@@ -495,6 +514,12 @@ class TestCsvImport:
         dirs = default_viewpoints(4).tolist()
         mpath = self._write_manifest(tmp_path, directions=dirs)
         assert import_csv(mpath).num_samples == 3
+
+    def test_bad_sigma_is_the_graph_builds_value_error(self, tmp_path):
+        mpath = self._write_manifest(tmp_path)
+        with pytest.raises(ValueError, match="^sigma must be finite and >= 0") as excinfo:
+            import_csv(mpath, sigma=-1)
+        assert not isinstance(excinfo.value, ValidationError)
 
     def test_missing_fields(self, tmp_path):
         mpath = self._write_manifest(tmp_path)

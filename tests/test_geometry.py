@@ -74,6 +74,10 @@ class TestDefaultViewpoints:
             with pytest.raises(ValueError):
                 default_viewpoints(bad)
 
+    def test_fibonacci_sphere_needs_a_point(self):
+        with pytest.raises(ValueError, match="need at least one point, got 0"):
+            fibonacci_sphere(0)
+
     def test_fibonacci_sphere_spread(self):
         pts = fibonacci_sphere(50)
         assert pts.shape == (50, 3)

@@ -75,6 +75,19 @@ class TestConfig:
         # a zero learning rate is a legal frozen-parameter run
         TrainConfig(num_classes=3, learning_rate=0.0)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("input_dim", 0, "input_dim must be >= 1"),
+        ("views", 0, "views must be >= 1"),
+        ("feature_dim", 0, "feature_dim must be >= 1"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+        ("epochs", -1, "epochs must be >= 0, got -1"),
+        ("plateau_patience", -2, "plateau_patience must be >= 0, got -2"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ])
+    def test_count_fields_are_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrainConfig(num_classes=3, **{field: value})
+
     def test_derived_dimensions(self):
         cfg = TrainConfig(num_classes=3, input_dim=7, n_patterns=5)
         assert cfg.effective_patterns == 5
@@ -462,6 +475,14 @@ class TestCheckpoint:
         save_checkpoint(path, params, cfg)
         write_config(path, {**read_config(path), field: float("nan")})
         with pytest.raises(FormatError, match=field):
+            load_checkpoint(path)
+
+    def test_negative_seed_is_rejected(self, tmp_path):
+        cfg, _, params = make_instance()
+        path = tmp_path / "m"
+        save_checkpoint(path, params, cfg)
+        write_config(path, {**read_config(path), "seed": -1})
+        with pytest.raises(FormatError, match="invalid checkpoint config: seed must be >= 0"):
             load_checkpoint(path)
 
     def test_float_field_accepts_int(self, tmp_path):

@@ -83,6 +83,8 @@ class TestEmbed:
             embed(np.zeros(2), params)
         with pytest.raises(ValueError):
             embed(np.array([1.0, np.nan, 0.0]), params)
+        with pytest.raises(ValueError, match=r"must be 1-D or 2-D, got shape \(2, 2, 3\)"):
+            embed(np.zeros((2, 2, 3)), params)
 
 
 class TestEmbedBackward:
@@ -106,6 +108,13 @@ class TestEmbedBackward:
             np.testing.assert_allclose(
                 goffsets, central_difference(scalar, params.offsets), atol=1e-8
             )
+
+    def test_rejects_upstream_gradient_of_another_shape(self):
+        params = random_params(np.random.default_rng(5), 4, 3)
+        feats = np.zeros((2, 3))
+        with pytest.raises(ValueError, match=r"upstream gradient shape \(2, 3\), "
+                                             r"expected \(2, 4\)"):
+            embed_backward(feats, embed(feats, params), np.zeros((2, 3)))
 
     def test_constant_upstream_gradient_vanishes(self):
         # shifting all logits equally cannot change a softmax, so a constant

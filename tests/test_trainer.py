@@ -8,7 +8,8 @@ import viewgraph.trainer as vgt
 from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic
 from viewgraph.errors import ValidationError
 from viewgraph.evalmetrics import accuracy
-from viewgraph.model import BLOCK_NAMES, TrainConfig, backward, forward, infer, init_model
+from viewgraph.model import (BLOCK_NAMES, TrainConfig, backward, dense_gradient, forward, infer,
+                             init_model)
 from viewgraph.trainer import grad_check, train
 
 
@@ -297,14 +298,18 @@ class TestGradCheck:
         assert max(report.values()) < 1e-5
 
     @pytest.mark.parametrize("name", BLOCK_NAMES)
-    def test_corrupted_block_is_detected(self, name):
+    def test_corrupted_block_is_detected(self, name, monkeypatch):
         sample, params, cfg = self._instance()
 
-        def corrupt(grads):
-            wrong = getattr(grads, name) + np.ones(dict(params.blocks())[name].shape)
-            setattr(grads, name, wrong)
+        def corrupted_backward(*args):
+            # dense_gradient passes a dense block through, so grad_check's
+            # own dense_gradient call leaves the corrupted feat_weights as is
+            grads = backward(*args)
+            setattr(grads, name, dense_gradient(getattr(grads, name)) + 1.0)
+            return grads
 
-        report = grad_check(sample, params, cfg, grad_hook=corrupt)
+        monkeypatch.setattr(vgt, "backward", corrupted_backward)
+        report = grad_check(sample, params, cfg)
         assert report[name] > 1e-2
 
     @pytest.mark.parametrize("flag", ["no_latent", "mean_pool"])
