@@ -226,6 +226,8 @@ def save(dataset: Dataset, path, digest=None) -> None:
         dataset.num_classes, dataset.views, dataset.feature_dim, dataset.num_samples,
         0 if shared else 1)]
     for text in [dataset.split, *dataset.class_names]:
+        if not isinstance(text, str):
+            raise FormatError(f"split and class names must be str, got {text!r}")
         raw = text.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError("string field longer than 65535 bytes")
@@ -308,8 +310,8 @@ def generate_synthetic(
         raise ValueError("counts must all be >= 1")
     if views < 2:
         raise ValueError("need at least 2 views")
-    if noise < 0:
-        raise ValueError(f"noise must be >= 0, got {noise}")
+    if not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     dirs = default_viewpoints(views)

@@ -267,8 +267,8 @@ def check_samples(samples, config: TrainConfig) -> None:
 
 
 def _describe(batch, params: ModelParams, config: TrainConfig, out) -> ForwardTrace:
-    """Every stage before the feature layer, on a sequence of samples checked
-    here: embed, ``W = S @ E``, attention and aggregate. The descriptors are
+    """Every stage before the feature layer, on samples that ``check_samples``
+    passed: embed, ``W = S @ E``, attention and aggregate. The descriptors are
     written straight into ``out``, (B, K) rows; the trace's ``agg`` views
     them, and its feature-layer and classifier fields are None.
 
@@ -279,7 +279,6 @@ def _describe(batch, params: ModelParams, config: TrainConfig, out) -> ForwardTr
     """
     if not batch:
         raise ValueError("empty batch")
-    check_samples(batch, config)
     feats = np.array([s.features for s in batch], dtype=np.float64)
     size, views, _ = feats.shape
     if config.no_latent:
@@ -320,6 +319,7 @@ def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     validate_params(params, config)
     single = hasattr(samples, "label")
     batch = [samples] if single else list(samples)
+    check_samples(batch, config)
     desc = np.empty((len(batch), config.descriptor_dim))
     trace = _describe(batch, params, config, desc)
     feature = global_feature(desc, params.cls)
@@ -426,6 +426,7 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
     if count == 0:
         raise ValueError("cannot run inference on an empty dataset")
     validate_params(params, config)
+    check_samples(samples, config)
     slices = math.ceil(count / EVAL_CHUNK)
     per_block = max(1, INFER_BLOCK_BYTES // (8 * width * EVAL_CHUNK))
     blocks = row_blocks(count, EVAL_CHUNK * math.ceil(slices / math.ceil(slices / per_block)))

@@ -185,6 +185,27 @@ def test_infer_never_runs_a_lone_last_row(size, monkeypatch):
         assert 1 not in gemm_rows or size == 1
 
 
+def test_infer_checks_its_samples_once_and_names_the_index_in_them(monkeypatch):
+    # 80 samples span three describe slices; the one built at another sigma
+    # is named by its index in the whole sequence, not within its slice
+    config, samples, params = instance(80, {"sigma": 10.0})
+    calls = []
+    check = vgm.check_samples
+
+    def counting_check(batch, *args):
+        calls.append(len(batch))
+        return check(batch, *args)
+
+    monkeypatch.setattr(vgm, "check_samples", counting_check)
+    infer(samples, params, config, "probs")
+    assert calls == [80]
+    bad = samples[70]
+    samples[70] = ShapeSample(bad.label, bad.features,
+                              build_view_graph(bad.graph.directions, 3.0))
+    with pytest.raises(ValueError, match=r"^sample 70: graph built with sigma=3\.0,"):
+        infer(samples, params, config, "probs")
+
+
 @pytest.mark.parametrize("flag", (None,) + FLAGS)
 @pytest.mark.parametrize("dims", (SMALL, PAPER), ids=("small", "paper"))
 def test_infer_outputs_do_not_depend_on_the_block_budget(dims, flag, monkeypatch):

@@ -305,10 +305,15 @@ class TestGenerator:
             generate_synthetic(2, 5, 6, 4, -0.1, 0)
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             generate_synthetic(2, 5, 6, 4, 0.1, -1)
+        for noise in (np.nan, np.inf, -0.1):
+            with pytest.raises(ValueError, match=f"noise must be finite and >= 0, got {noise}"):
+                generate_synthetic(2, 5, 6, 4, noise, 0)
 
     def test_output_is_validated_like_a_loaded_dataset(self):
-        with pytest.raises(ValidationError, match="sample 0: non-finite feature values"):
-            generate_synthetic(2, 2, 4, 3, np.inf, 0)
+        # a finite noise whose features overflow float32 in the cast
+        with np.errstate(over="ignore"), pytest.raises(
+                ValidationError, match="sample 0: non-finite feature values"):
+            generate_synthetic(2, 2, 4, 3, 1e300, 0)
 
 
 class TestValidation:
@@ -638,6 +643,21 @@ class TestSaveErrors:
         else:
             ds.class_names[1] = text
         with pytest.raises(FormatError, match="string field longer than 65535 bytes"):
+            save(ds, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["d.3dvgd"]
+
+    @pytest.mark.parametrize("field", ["split", "class name"])
+    def test_name_that_is_not_a_str_leaves_the_target(self, tmp_path, field):
+        path = tmp_path / "d.3dvgd"
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        save(ds, path)
+        before = path.read_bytes()
+        if field == "split":
+            ds.split = None
+        else:
+            ds.class_names = [1, 2]
+        with pytest.raises(FormatError, match="split and class names must be str, got "):
             save(ds, path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["d.3dvgd"]
