@@ -53,7 +53,7 @@ def _record_dtype(views: int, feature_dim: int) -> np.dtype:
     return np.dtype([("label", "<u4"), ("features", "<f4", (views, feature_dim))])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeSample:
     """One labeled shape: its view features (V, D_low) float32 and its view graph."""
 
@@ -62,13 +62,45 @@ class ShapeSample:
     graph: ViewGraph
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """A list of shape samples with shared class names and a split tag."""
+    """Shape samples with shared class names and a split tag; the samples and
+    the names are stored as tuples. A Dataset checks its invariants when it is
+    made, so every one in existence has passed them; a bad one raises
+    FormatError or ValidationError, naming the first bad sample."""
 
-    samples: list
-    class_names: list
+    samples: tuple
+    class_names: tuple
     split: str = "train"
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples", tuple(self.samples))
+        object.__setattr__(self, "class_names", tuple(self.class_names))
+        if not self.samples:
+            raise FormatError("dataset has no samples")
+        if not self.class_names:
+            raise FormatError("dataset has no classes")
+        for text in [self.split, *self.class_names]:
+            if not isinstance(text, str):
+                raise FormatError(f"split and class names must be str, got {text!r}")
+        views, dim = self.samples[0].features.shape
+        if dim < 1:
+            raise FormatError("feature dimension must be >= 1")
+        for i, s in enumerate(self.samples):
+            if s.features.shape != (views, dim):
+                raise ValidationError(
+                    f"sample {i}: features {s.features.shape}, expected ({views}, {dim})"
+                )
+            if isinstance(s.label, bool) or not isinstance(s.label, (int, np.integer)):
+                raise ValidationError(f"sample {i}: label {s.label} is not an integer")
+            if not 0 <= s.label < self.num_classes:
+                raise ValidationError(
+                    f"sample {i}: label {s.label} out of range [0, {self.num_classes})"
+                )
+            if not np.isfinite(s.features).all():
+                raise ValidationError(f"sample {i}: non-finite feature values")
+            if s.graph.num_views != views:
+                raise ValidationError(f"sample {i}: graph has {s.graph.num_views} views")
 
     @property
     def num_samples(self) -> int:
@@ -89,30 +121,6 @@ class Dataset:
     @property
     def labels(self) -> np.ndarray:
         return np.array([s.label for s in self.samples], dtype=np.int64)
-
-
-def validate_dataset(dataset: Dataset) -> None:
-    """Check the cross-sample invariants; raises FormatError/ValidationError."""
-    if dataset.num_samples == 0:
-        raise FormatError("dataset has no samples")
-    if dataset.num_classes == 0:
-        raise FormatError("dataset has no classes")
-    views, dim = dataset.samples[0].features.shape
-    if dim < 1:
-        raise FormatError("feature dimension must be >= 1")
-    for i, s in enumerate(dataset.samples):
-        if s.features.shape != (views, dim):
-            raise ValidationError(
-                f"sample {i}: features {s.features.shape}, expected ({views}, {dim})"
-            )
-        if not 0 <= s.label < dataset.num_classes:
-            raise ValidationError(
-                f"sample {i}: label {s.label} out of range [0, {dataset.num_classes})"
-            )
-        if not np.isfinite(s.features).all():
-            raise ValidationError(f"sample {i}: non-finite feature values")
-        if s.graph.num_views != views:
-            raise ValidationError(f"sample {i}: graph has {s.graph.num_views} views")
 
 
 class _Reader:
@@ -186,10 +194,13 @@ def write_atomic(path, parts, what: str, digest=None) -> None:
     readers see the old or the new bytes.
 
     Each part (bytes, or an array through the buffer protocol) is one write to
-    a temporary file beside the target, which is then renamed over it; a
-    process killed mid-write leaves the previous file untouched. Each part
-    also goes into ``digest`` (a hashlib object) when one is given.
-    Raises DataIOError, naming ``what`` (say "dataset") in the message.
+    a temporary file beside the target. The file is flushed and fsynced, then
+    renamed over the target, and on POSIX the directory is fsynced so that the
+    rename itself survives a power loss; a process killed mid-write leaves the
+    previous file untouched. Each part also goes into ``digest`` (a hashlib
+    object) when one is given. Raises DataIOError, naming ``what`` (say
+    "dataset") in the message; if only the directory fsync fails, the target
+    already holds the new bytes, which may not be durable.
     """
     tmp = f"{os.fspath(path)}.{uuid.uuid4().hex}.tmp"
     try:
@@ -198,12 +209,25 @@ def write_atomic(path, parts, what: str, digest=None) -> None:
                 fh.write(part)
                 if digest is not None:
                     digest.update(part)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
         raise DataIOError(f"cannot write {what} {path}: {exc}") from exc
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)  # already gone after a successful rename
+    if os.name != "posix":  # a directory cannot be opened for fsync
+        return
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise DataIOError(
+            f"wrote {what} {path}, but the new bytes may not be durable: {exc}") from exc
 
 
 def write_csv(path, rows, what: str) -> None:
@@ -215,19 +239,22 @@ def write_csv(path, rows, what: str) -> None:
 
 def save(dataset: Dataset, path, digest=None) -> None:
     """Write the dataset container atomically; bytes are deterministic per
-    content. The bytes written also go into ``digest`` when one is given."""
-    validate_dataset(dataset)
+    content. The bytes written also go into ``digest`` when one is given.
+    Features that overflow float32, and a split or class name longer than
+    65,535 UTF-8 bytes, are a FormatError before anything is written."""
     rigs = np.stack([s.graph.directions for s in dataset.samples]).astype("<f8", copy=False)
     shared = bool((rigs == rigs[0]).all())
     records = np.empty(dataset.num_samples, _record_dtype(dataset.views, dataset.feature_dim))
     records["label"] = dataset.labels
-    records["features"] = [s.features for s in dataset.samples]
+    with np.errstate(over="ignore"):
+        records["features"] = [s.features for s in dataset.samples]
+    finite = np.isfinite(records["features"]).reshape(dataset.num_samples, -1).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"sample {np.argmin(finite)}: features overflow float32")
     parts = [DATASET_MAGIC, struct.pack("<I", DATASET_VERSION), _HEADER.pack(
         dataset.num_classes, dataset.views, dataset.feature_dim, dataset.num_samples,
         0 if shared else 1)]
     for text in [dataset.split, *dataset.class_names]:
-        if not isinstance(text, str):
-            raise FormatError(f"split and class names must be str, got {text!r}")
         raw = text.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError("string field longer than 65535 bytes")
@@ -268,7 +295,7 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
 
 
 def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Dataset:
-    """The validated Dataset of the samples ``labels`` and ``features`` (each
+    """The Dataset of the samples ``labels`` and ``features`` (each
     (V, D) float32), with graphs built at ``sigma`` in one call from ``rigs``:
     (M, V, 3), one rig per sample or a single rig that all samples share.
     A direction off unit norm is a ValidationError naming its rig by
@@ -282,9 +309,7 @@ def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Datas
     graphs *= len(labels) // len(graphs)
     samples = [ShapeSample(label=int(label), features=feats, graph=graph)
                for label, feats, graph in zip(labels, features, graphs)]
-    dataset = Dataset(samples=samples, class_names=class_names, split=split)
-    validate_dataset(dataset)
-    return dataset
+    return Dataset(samples=samples, class_names=class_names, split=split)
 
 
 def generate_synthetic(

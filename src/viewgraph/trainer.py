@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, validate_dataset
+from .dataio import Dataset
 from .model import (
     ModelParams,
     TrainConfig,
@@ -58,20 +58,6 @@ class TrainResult:
         return len(self.history)
 
 
-def _check_compat(dataset: Dataset, config: TrainConfig) -> None:
-    """Reject data that does not fit ``config`` before the first epoch, so
-    that a ValueError during training can only come from the parameters."""
-    if dataset.num_samples == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if dataset.num_classes != config.num_classes:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes, config expects "
-            f"{config.num_classes}"
-        )
-    validate_dataset(dataset)
-    check_samples(dataset.samples, config)
-
-
 def _subtract_outer(arr, left, right, step: float) -> None:
     """``arr -= step * (left.T @ right)`` without the dense (F, K) product.
 
@@ -105,7 +91,13 @@ def train(
     Raises RuntimeError if the loss, a forward stage or any parameter goes
     non-finite.
     """
-    _check_compat(dataset, config)
+    # the dataset checked itself when made; what remains needs the config,
+    # so that a ValueError during training can only come from the parameters
+    if dataset.num_classes != config.num_classes:
+        raise ValueError(
+            f"dataset has {dataset.num_classes} classes, config expects {config.num_classes}"
+        )
+    check_samples(dataset.samples, config)
     if params is None:
         params = init_model(config, np.random.default_rng([config.seed, 0]))
     else:

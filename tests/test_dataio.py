@@ -1,11 +1,13 @@
 """Dataset container round trips, validation, and the synthetic generator."""
 
 import argparse
+import dataclasses
 import errno
 import hashlib
 import json
 import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -21,7 +23,6 @@ from viewgraph.dataio import (
     import_csv,
     load,
     save,
-    validate_dataset,
 )
 from viewgraph.errors import DataIOError, FormatError, ValidationError
 from viewgraph.geometry import ViewGraph, build_view_graph, default_viewpoints
@@ -191,9 +192,8 @@ class TestPinnedBytes:
     def float64_features():
         ds = generate_synthetic(3, 2, 8, 4, 0.5, 3, split="test")
         rng = np.random.default_rng(9)
-        for s in ds.samples:
-            s.features = rng.standard_normal(s.features.shape)
-        return ds
+        return Dataset([dataclasses.replace(s, features=rng.standard_normal(s.features.shape))
+                        for s in ds.samples], ds.class_names, ds.split)
 
     @pytest.mark.parametrize("case,expected", [
         ("shared rig", "4482f0c3b64b8e5c143b246cf809b806660f7d6de42fb75c9e96129c780494dd"),
@@ -240,6 +240,66 @@ class TestAtomicWrite:
         # the containers are written part by part: the fault comes on the
         # fourth write, after the header and some blocks are in the temp file
         self._fail_and_check(tmp_path, monkeypatch, writer, 3)
+
+    # A power loss cannot be simulated here, so these tests check the order
+    # of the calls that make a write durable, and what a failed fsync leaves.
+    @staticmethod
+    def _record_syncs(monkeypatch, fail=None):
+        """Log each fsync (of a file or a directory) and replace, in order;
+        the fsync named by ``fail`` raises EIO instead."""
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def logged_fsync(fd):
+            kind = "directory fsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file fsync"
+            calls.append(kind)
+            if kind == fail:
+                raise OSError(errno.EIO, "Input/output error")
+            fsync(fd)
+
+        def logged_replace(src, dst):
+            calls.append("replace")
+            replace(src, dst)
+
+        monkeypatch.setattr(vgd.os, "fsync", logged_fsync)
+        monkeypatch.setattr(vgd.os, "replace", logged_replace)
+        return calls
+
+    @pytest.mark.parametrize(
+        "writer",
+        [_save_dataset, _save_checkpoint, _write_metrics_csv, _write_per_query_csv,
+         _write_pr_csv, _write_manifest],
+    )
+    def test_file_is_synced_before_the_rename_and_the_directory_after(
+        self, tmp_path, monkeypatch, writer
+    ):
+        calls = self._record_syncs(monkeypatch)
+        writer(1, tmp_path / "out.bin")
+        assert calls == ["file fsync", "replace", "directory fsync"]
+
+    def test_failed_file_sync_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        _save_dataset(1, path)
+        before = path.read_bytes()
+        calls = self._record_syncs(monkeypatch, fail="file fsync")
+        with pytest.raises(DataIOError, match="^cannot write dataset .*Input/output error"):
+            _save_dataset(2, path)
+        assert calls == ["file fsync"]
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_failed_directory_sync_says_the_new_bytes_may_not_be_durable(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "out.bin"
+        _save_dataset(1, path)
+        before = path.read_bytes()
+        calls = self._record_syncs(monkeypatch, fail="directory fsync")
+        with pytest.raises(DataIOError, match="^wrote dataset .*may not be durable"):
+            _save_dataset(2, path)
+        assert calls == ["file fsync", "replace", "directory fsync"]
+        assert path.read_bytes() != before
+        assert os.listdir(tmp_path) == ["out.bin"]
 
 
 class TestFailedRead:
@@ -317,52 +377,69 @@ class TestGenerator:
 
 
 class TestValidation:
-    def _dataset(self):
-        return generate_synthetic(2, 2, 4, 3, 0.1, 0)
+    """A Dataset checks its content when it is made, whether loaded or built."""
+
+    @staticmethod
+    def _samples(index, **changes):
+        """The 4 samples of a 2-class set, sample ``index`` with ``changes``."""
+        samples = list(generate_synthetic(2, 2, 4, 3, 0.1, 0).samples)
+        samples[index] = dataclasses.replace(samples[index], **changes)
+        return samples
 
     def test_label_out_of_range(self):
-        ds = self._dataset()
-        ds.samples[1].label = 7
         with pytest.raises(ValidationError, match="sample 1"):
-            validate_dataset(ds)
+            Dataset(self._samples(1, label=7), ["a", "b"])
+
+    @pytest.mark.parametrize("label", [0.5, 1.0, True])
+    def test_label_that_is_not_an_integer(self, label):
+        with pytest.raises(ValidationError,
+                           match=f"^sample 1: label {label} is not an integer$"):
+            Dataset(self._samples(1, label=label), ["a", "b"])
+
+    def test_numpy_integer_label_is_accepted(self):
+        ds = Dataset(self._samples(1, label=np.int64(1)), ["a", "b"])
+        assert ds.labels.tolist() == [0, 1, 1, 1]
 
     def test_non_finite_features(self):
-        ds = self._dataset()
-        feats = ds.samples[2].features.copy()
+        feats = np.zeros((4, 3), np.float32)
         feats[0, 0] = np.nan
-        ds.samples[2] = ShapeSample(0, feats, ds.samples[2].graph)
         with pytest.raises(ValidationError, match="sample 2"):
-            validate_dataset(ds)
+            Dataset(self._samples(2, features=feats), ["a", "b"])
 
     def test_inconsistent_shapes(self):
-        ds = self._dataset()
-        short = ds.samples[0].features[:, :2]
-        ds.samples[3] = ShapeSample(0, short, ds.samples[3].graph)
+        short = np.zeros((4, 2), np.float32)
         with pytest.raises(ValidationError):
-            validate_dataset(ds)
+            Dataset(self._samples(3, features=short), ["a", "b"])
 
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
-            validate_dataset(Dataset(samples=[], class_names=["a"], split="x"))
+            Dataset(samples=[], class_names=["a"], split="x")
 
     def test_graph_of_another_view_count(self):
-        ds = self._dataset()
         other = build_view_graph(default_viewpoints(5), 10.0)
-        ds.samples[3] = ShapeSample(0, ds.samples[3].features, other)
         with pytest.raises(ValidationError, match="sample 3: graph has 5 views"):
-            validate_dataset(ds)
+            Dataset(self._samples(3, graph=other), ["a", "b"])
 
     def test_no_class_names(self):
-        ds = self._dataset()
-        ds.class_names = []
         with pytest.raises(FormatError, match="dataset has no classes"):
-            validate_dataset(ds)
+            Dataset(self._samples(0), [])
 
     def test_zero_feature_dimension(self):
         graph = build_view_graph(default_viewpoints(4), 10.0)
-        ds = Dataset([ShapeSample(0, np.zeros((4, 0), np.float32), graph)], ["a"])
         with pytest.raises(FormatError, match="feature dimension must be >= 1"):
-            validate_dataset(ds)
+            Dataset([ShapeSample(0, np.zeros((4, 0), np.float32), graph)], ["a"])
+
+    @pytest.mark.parametrize("field", ["samples", "class_names", "split"])
+    def test_dataset_cannot_be_changed(self, field):
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ds, field, getattr(ds, field))
+        assert isinstance(ds.samples, tuple) and isinstance(ds.class_names, tuple)
+
+    def test_sample_label_cannot_be_changed(self):
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.samples[1].label = 7
 
 
 class TestLoaderErrors:
@@ -508,7 +585,7 @@ class TestCsvImport:
         ds = import_csv(mpath, sigma=4.0)
         assert ds.num_samples == 3
         assert ds.views == 4 and ds.feature_dim == 5
-        assert ds.class_names == ["first", "second"]
+        assert ds.class_names == ("first", "second")
         assert ds.samples[0].graph.sigma == 4.0
         raw = np.loadtxt(tmp_path / "s1.csv", delimiter=",")
         np.testing.assert_array_equal(
@@ -639,9 +716,9 @@ class TestSaveErrors:
         save(ds, path)
         before = path.read_bytes()
         if field == "split":
-            ds.split = text
+            ds = dataclasses.replace(ds, split=text)
         else:
-            ds.class_names[1] = text
+            ds = dataclasses.replace(ds, class_names=(ds.class_names[0], text))
         with pytest.raises(FormatError, match="string field longer than 65535 bytes"):
             save(ds, path)
         assert path.read_bytes() == before
@@ -653,12 +730,22 @@ class TestSaveErrors:
         ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
         save(ds, path)
         before = path.read_bytes()
-        if field == "split":
-            ds.split = None
-        else:
-            ds.class_names = [1, 2]
+        names = dict(split=None) if field == "split" else dict(class_names=[1, 2])
         with pytest.raises(FormatError, match="split and class names must be str, got "):
-            save(ds, path)
+            save(dataclasses.replace(ds, **names), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["d.3dvgd"]
+
+    def test_features_that_overflow_float32_leave_the_target(self, tmp_path):
+        # finite as float64, so the Dataset holds them; +inf as float32
+        path = tmp_path / "d.3dvgd"
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        save(ds, path)
+        before = path.read_bytes()
+        samples = list(ds.samples)
+        samples[2] = dataclasses.replace(samples[2], features=np.full((4, 3), 1e39))
+        with pytest.raises(FormatError, match="^sample 2: features overflow float32$"):
+            save(Dataset(samples, ds.class_names), path)
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["d.3dvgd"]
 

@@ -14,7 +14,7 @@ from oracles import (
     naive_ranked_lists,
     naive_shrec,
 )
-from viewgraph.dataio import Dataset, generate_synthetic
+from viewgraph.dataio import generate_synthetic
 from viewgraph.evalmetrics import (
     DISTANCES,
     RetrievalRun,
@@ -31,7 +31,7 @@ from viewgraph.evalmetrics import (
     write_per_query_csv,
     write_pr_csv,
 )
-from viewgraph.model import TrainConfig, init_model
+from viewgraph.model import TrainConfig, infer, init_model
 
 
 def random_run(rng, force_self=None, metric="euclidean", max_items=25):
@@ -586,9 +586,8 @@ class TestAccuracy:
 
     def test_empty_dataset_rejected(self):
         params = init_model(self.CONFIG, np.random.default_rng(0))
-        empty = Dataset(samples=[], class_names=["a", "b", "c", "d"], split="test")
-        with pytest.raises(ValueError, match="empty"):
-            accuracy(params, self.CONFIG, empty)
+        with pytest.raises(ValueError, match="cannot run inference on an empty dataset"):
+            infer([], params, self.CONFIG, "probs")
 
 
 class TestRetrievalRunValidation:

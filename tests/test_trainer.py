@@ -6,7 +6,7 @@ import pytest
 
 import viewgraph.trainer as vgt
 from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic
-from viewgraph.errors import ValidationError
+from viewgraph.errors import FormatError, ValidationError
 from viewgraph.evalmetrics import accuracy
 from viewgraph.model import (BLOCK_NAMES, TrainConfig, backward, dense_gradient, forward, infer,
                              init_model)
@@ -80,11 +80,12 @@ class TestAttentionClaim:
     def planted_task(self, seed):
         ds = generate_synthetic(4, 30, 12, 32, 0.3, seed)
         rng = np.random.default_rng([seed, 2])
-        for i, s in enumerate(ds.samples):
+        samples = []
+        for s in ds.samples:
             feats = s.features.copy()
             feats[:self.PLANTED] = rng.normal(0.0, 2.0, (self.PLANTED, 32))
-            ds.samples[i] = ShapeSample(s.label, feats, s.graph)
-        return ds
+            samples.append(ShapeSample(s.label, feats, s.graph))
+        return Dataset(samples, ds.class_names, ds.split)
 
     def planted_and_other_alpha(self, ds, params, config):
         alpha = infer(ds.samples, params, config, "alpha").alpha
@@ -188,9 +189,8 @@ class TestGuards:
             train(ds, small_config(input_dim=9))
 
     def test_empty_dataset_is_rejected(self):
-        empty = Dataset(samples=[], class_names=["a", "b", "c"])
-        with pytest.raises(ValueError, match="cannot train on an empty dataset"):
-            train(empty, small_config())
+        with pytest.raises(FormatError, match="dataset has no samples"):
+            train(Dataset(samples=[], class_names=["a", "b", "c"]), small_config())
 
     def test_sigma_mismatch_is_rejected_before_any_epoch(self):
         ds = small_task()  # graphs built at sigma 10
@@ -200,8 +200,8 @@ class TestGuards:
         assert "diverged" not in str(excinfo.value)
         assert epochs == []
 
-    # A hand-built dataset is not validated as a loaded one is: a bad later
-    # sample must still be caught before any epoch, not reported as divergence.
+    # A hand-built dataset checks itself when made, as a loaded one does: a bad
+    # later sample is caught before any epoch, never reported as divergence.
     @pytest.mark.parametrize("bad,message", [
         (lambda s: ShapeSample(s.label, np.zeros((6, 7), np.float32), s.graph),
          r"sample 9: features \(6, 7\), expected \(6, 8\)"),
@@ -211,10 +211,12 @@ class TestGuards:
     ], ids=["shape", "label", "nan"])
     def test_bad_sample_is_rejected_before_any_epoch(self, bad, message):
         ds = small_task()
-        ds.samples[9] = bad(ds.samples[9])
+        samples = list(ds.samples)
+        samples[9] = bad(samples[9])
         epochs = []
         with pytest.raises(ValidationError, match=message) as excinfo:
-            train(ds, small_config(epochs=2), callback=epochs.append)
+            train(Dataset(samples, ds.class_names), small_config(epochs=2),
+                  callback=epochs.append)
         assert "diverged" not in str(excinfo.value)
         assert epochs == []
 
