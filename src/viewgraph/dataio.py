@@ -74,6 +74,8 @@ class Dataset:
     split: str = "train"
 
     def __post_init__(self):
+        if isinstance(self.class_names, str):
+            raise FormatError(f"class names must be a sequence of str, got {self.class_names!r}")
         object.__setattr__(self, "samples", tuple(self.samples))
         object.__setattr__(self, "class_names", tuple(self.class_names))
         if not self.samples:
@@ -267,9 +269,9 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
     """Read and validate a dataset container, building graphs at ``sigma``.
 
     The directions and the sample records are each read straight into one
-    array; a sample's features are a view of the records. The graphs of all
-    rigs are built in one call. Every byte read goes into ``digest`` when
-    one is given.
+    array; a sample's features are a read-only view of the records. The
+    graphs of all rigs are built in one call. Every byte read goes into
+    ``digest`` when one is given.
     """
     with read_container(path, "dataset", digest) as r:
         r.header(DATASET_MAGIC, (DATASET_VERSION,), "dataset")
@@ -288,6 +290,7 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
         records = r.array(np.uint8, num_samples * (4 + views * feature_dim * 4),
                           "sample records")
         r.finish()
+    records.flags.writeable = False  # so no sample's view of it can be made writable
     records = records.view(_record_dtype(views, feature_dim))
     return _assemble(records["label"], records["features"], dirs.reshape(rigs, views, 3),
                      sigma, class_names, split,
@@ -295,9 +298,10 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
 
 
 def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Dataset:
-    """The Dataset of the samples ``labels`` and ``features`` (each
-    (V, D) float32), with graphs built at ``sigma`` in one call from ``rigs``:
-    (M, V, 3), one rig per sample or a single rig that all samples share.
+    """The Dataset of the samples ``labels`` and ``features`` (each (V, D)
+    float32, made read-only without a copy), with graphs built at ``sigma``
+    in one call from ``rigs``: (M, V, 3), one rig per sample or a single rig
+    that all samples share.
     A direction off unit norm is a ValidationError naming its rig by
     ``where``, formatted with the rig's index; a bad sigma stays the graph
     build's ValueError.
@@ -309,6 +313,8 @@ def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Datas
     graphs *= len(labels) // len(graphs)
     samples = [ShapeSample(label=int(label), features=feats, graph=graph)
                for label, feats, graph in zip(labels, features, graphs)]
+    for s in samples:
+        s.features.flags.writeable = False
     return Dataset(samples=samples, class_names=class_names, split=split)
 
 

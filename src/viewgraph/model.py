@@ -307,23 +307,26 @@ def _describe(batch, params: ModelParams, config: TrainConfig, out) -> ForwardTr
     return ForwardTrace(feats, sim, labels, emb, weighted, alpha, agg, None, None, None)
 
 
-def _head(feature: np.ndarray, params: ModelParams):
-    """``(global_feature, logits, probs)`` of (B, F) global features."""
-    logits = classify(feature, params.cls)
-    return feature, logits, stable_softmax(logits)
+def _run(batch, params: ModelParams, config: TrainConfig) -> ForwardTrace:
+    """The whole pipeline on a list of samples that ``check_samples`` passed,
+    with params that ``validate_params`` passed: ``_describe`` into a fresh
+    descriptor buffer, the feature layer, the classifier and the softmax."""
+    desc = np.empty((len(batch), config.descriptor_dim))
+    trace = _describe(batch, params, config, desc)
+    trace.global_feature = global_feature(desc, params.cls)
+    trace.logits = classify(trace.global_feature, params.cls)
+    trace.probs = stable_softmax(trace.logits)
+    return trace
 
 
 def forward(samples, params: ModelParams, config: TrainConfig) -> ForwardTrace:
     """Run the pipeline on a sequence of shapes, or one sample (the B=1 view,
-    anything with a label): ``_describe``, the feature layer, ``_head``."""
+    anything with a label): check the params and samples on every call, then ``_run``."""
     validate_params(params, config)
     single = hasattr(samples, "label")
     batch = [samples] if single else list(samples)
     check_samples(batch, config)
-    desc = np.empty((len(batch), config.descriptor_dim))
-    trace = _describe(batch, params, config, desc)
-    feature = global_feature(desc, params.cls)
-    trace.global_feature, trace.logits, trace.probs = _head(feature, params)
+    trace = _run(batch, params, config)
     return trace._map(lambda v: v[0]) if single else trace
 
 
@@ -415,13 +418,14 @@ def count_hits(trace) -> int:
 
 def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
     """``forward`` over a sequence of shapes: the ``names`` fields, every other
-    field None. ``_describe`` and ``_head`` run on the ``row_blocks`` of
-    ``EVAL_CHUNK`` shapes. The feature layer runs once per block of whole slices
-    (split evenly, at most ``INFER_BLOCK_BYTES`` unless one slice is more), on
-    one reused buffer that ``_describe`` fills. So only the feature GEMM's row
-    count depends on the budget: BLAS may sum a small GEMM's row, such as the
-    classifier's, differently at another row count. A name whose field the
-    describe step leaves None under ``config`` is a ValueError."""
+    field None. After one check, ``_describe``, ``classify`` and the softmax
+    run on the ``row_blocks`` of ``EVAL_CHUNK`` shapes. The feature layer runs
+    once per block of whole slices (split evenly, at most ``INFER_BLOCK_BYTES``
+    unless one slice is more), on one reused buffer that ``_describe`` fills.
+    So only the feature GEMM's row count depends on the budget: BLAS may sum a
+    small GEMM's row, such as the classifier's, differently at another row
+    count. A name whose field the describe step leaves None under ``config``
+    is a ValueError."""
     count, width = len(samples), config.descriptor_dim
     if count == 0:
         raise ValueError("cannot run inference on an empty dataset")
@@ -447,7 +451,8 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
             del trace
         feature = global_feature(desc, params.cls)
         for rows in inner:
-            for name, value in zip(head, _head(feature[rows], params)):
+            logits = classify(feature[rows], params.cls)
+            for name, value in zip(head, (feature[rows], logits, stable_softmax(logits))):
                 if name in kept:
                     kept[name].append(value)
     columns = {name: np.concatenate(parts) for name, parts in kept.items()}

@@ -3,7 +3,8 @@
 Everything here is deterministic for a given (dataset, config): parameter
 init draws from one seeded stream, epoch shuffles from another, and each
 mini-batch takes one batched forward and one backward call, whose
-gradients come summed over the batch in a fixed order.
+gradients come summed over the batch in a fixed order. ``train`` checks its
+data once, before epoch 0, and runs each batch through ``model._run``.
 """
 
 import time
@@ -15,6 +16,7 @@ from .dataio import Dataset
 from .model import (
     ModelParams,
     TrainConfig,
+    _run,
     backward,
     check_samples,
     count_hits,
@@ -117,7 +119,7 @@ def train(
         for lo in range(0, num, config.batch_size):
             batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
             try:
-                trace = forward(batch, params, config)
+                trace = _run(batch, params, config)
                 losses = sample_loss(trace, batch)
                 if not np.isfinite(losses).all():
                     raise ValueError("non-finite loss")

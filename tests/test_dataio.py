@@ -376,6 +376,13 @@ class TestGenerator:
             generate_synthetic(2, 2, 4, 3, 1e300, 0)
 
 
+def assert_features_read_only(ds):
+    """Every sample's features refuse an in-place write, with numpy's error."""
+    for sample in ds.samples:
+        with pytest.raises(ValueError, match="read-only"):
+            sample.features[0, 0] = np.nan
+
+
 class TestValidation:
     """A Dataset checks its content when it is made, whether loaded or built."""
 
@@ -440,6 +447,29 @@ class TestValidation:
         ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             ds.samples[1].label = 7
+
+    def test_class_names_that_are_one_str_are_rejected(self):
+        with pytest.raises(FormatError, match="^class names must be a sequence of str, got 'ab'$"):
+            Dataset(self._samples(0), "ab")
+        for names in (["a", "b"], ("a", "b")):
+            assert Dataset(self._samples(0), names).class_names == ("a", "b")
+
+    @pytest.mark.parametrize("source", ["synthetic", "load"])
+    def test_library_made_features_are_read_only(self, tmp_path, source):
+        ds = generate_synthetic(2, 2, 4, 3, 0.1, 0)
+        if source == "load":
+            save(ds, tmp_path / "d.3dvgd")
+            ds = load(tmp_path / "d.3dvgd")
+            with pytest.raises(ValueError, match="WRITEABLE"):  # its records are read-only
+                ds.samples[0].features.flags.writeable = True
+        assert_features_read_only(ds)
+
+    def test_hand_built_samples_keep_the_callers_arrays(self):
+        samples = self._samples(0)
+        feats = np.zeros((4, 3), np.float32)
+        samples[1] = dataclasses.replace(samples[1], features=feats)
+        assert Dataset(samples, ["a", "b"]).samples[1].features is feats
+        assert feats.flags.writeable
 
 
 class TestLoaderErrors:
@@ -591,6 +621,9 @@ class TestCsvImport:
         np.testing.assert_array_equal(
             ds.samples[1].features, raw.astype(np.float32)
         )
+
+    def test_imported_features_are_read_only(self, tmp_path):
+        assert_features_read_only(import_csv(self._write_manifest(tmp_path)))
 
     def test_inline_directions(self, tmp_path):
         dirs = default_viewpoints(4).tolist()

@@ -345,6 +345,13 @@ class TestParams:
         with pytest.raises(ValueError):
             validate_params(params, other)
 
+    def test_forward_checks_its_params_on_every_call(self):
+        cfg, sample, params = make_instance()
+        forward(sample, params, cfg)
+        other = dataclasses.replace(cfg, feature_dim=cfg.feature_dim + 1)
+        with pytest.raises(ValueError, match="^parameter block feat_weights has shape"):
+            forward(sample, params, other)
+
     @pytest.mark.parametrize("name", BLOCK_NAMES)
     def test_validate_params_checks_every_block(self, name):
         cfg, _, params = make_instance()

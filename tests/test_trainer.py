@@ -4,10 +4,12 @@ the row-blocked feature-layer update."""
 import numpy as np
 import pytest
 
+import viewgraph.model as vgm
 import viewgraph.trainer as vgt
 from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic
 from viewgraph.errors import FormatError, ValidationError
 from viewgraph.evalmetrics import accuracy
+from viewgraph.geometry import build_view_graph
 from viewgraph.model import (BLOCK_NAMES, TrainConfig, backward, dense_gradient, forward, infer,
                              init_model)
 from viewgraph.trainer import grad_check, train
@@ -219,6 +221,35 @@ class TestGuards:
                   callback=epochs.append)
         assert "diverged" not in str(excinfo.value)
         assert epochs == []
+
+    def test_sigma_mismatch_names_the_index_in_the_dataset(self):
+        # sample 9 would sit at another index within its shuffled batch
+        samples = list(small_task().samples)
+        bad = samples[9]
+        samples[9] = ShapeSample(bad.label, bad.features,
+                                 build_view_graph(bad.graph.directions, 3.0))
+        epochs = []
+        with pytest.raises(ValueError, match=r"^sample 9: graph built with sigma=3\.0,"):
+            train(Dataset(samples, ("a", "b", "c")), small_config(epochs=2),
+                  callback=epochs.append)
+        assert epochs == []
+
+    def test_a_run_checks_its_data_and_params_once(self, monkeypatch):
+        # Both bindings of each check are counted, so a batch that went
+        # through forward's checks again would show as another call.
+        calls = []
+        for module in (vgm, vgt):
+            for name in ("check_samples", "validate_params"):
+                def counted(data, *args, _name=name, _check=getattr(module, name)):
+                    calls.append((_name, len(data) if _name == "check_samples" else None))
+                    return _check(data, *args)
+                monkeypatch.setattr(module, name, counted)
+        ds, cfg = small_task(), small_config(epochs=3)  # 5 batches an epoch
+        train(ds, cfg)
+        assert calls == [("check_samples", 18)]
+        calls.clear()
+        train(ds, cfg, params=init_model(cfg, np.random.default_rng(0)))
+        assert calls == [("check_samples", 18), ("validate_params", None)]
 
     @pytest.mark.parametrize("flag", ["no_spatiality", "mean_pool"])
     def test_sigma_mismatch_is_ignored_when_similarities_are_unread(self, flag):
