@@ -126,11 +126,11 @@ class Dataset:
 
 
 class _Reader:
-    """Front-to-back reader of an open container file. Each count is checked
-    against the bytes left (``os.fstat``) before anything is read or
-    allocated: a short file is a DataIOError, never a short read. Every byte
-    read also goes into ``digest`` (a hashlib object) when one is given, so
-    after ``finish`` it holds the hash of the whole file as read."""
+    """Front-to-back reader of an open container file; ``uint`` reads every
+    little-endian count. A count is checked against the bytes left
+    (``os.fstat``) before anything is read or allocated: a short file is a
+    DataIOError, never a short read. Every byte read also goes into ``digest``
+    (a hashlib object) when given, so after ``finish`` it hashes the file."""
 
     def __init__(self, fh, digest=None):
         self.fh = fh
@@ -140,14 +140,11 @@ class _Reader:
     def take(self, count: int, what: str) -> bytes:
         return self.array(np.uint8, count, what).tobytes()
 
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.take(4, what), "little")
-
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.take(2, what), "little")
+    def uint(self, size: int, what: str) -> int:
+        return int.from_bytes(self.take(size, what), "little")
 
     def string(self, what: str) -> str:
-        raw = self.take(self.u16(f"{what} length"), what)
+        raw = self.take(self.uint(2, f"{what} length"), what)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -157,7 +154,7 @@ class _Reader:
         """Check the magic and return the version, which must be in ``versions``."""
         if self.take(len(magic), "magic") != magic:
             raise FormatError(f"not a {what} file (bad magic)")
-        version = self.u32("version")
+        version = self.uint(4, "version")
         if version not in versions:
             raise FormatError(f"unsupported {what} version {version}")
         return version
@@ -298,10 +295,10 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
 
 
 def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Dataset:
-    """The Dataset of the samples ``labels`` and ``features`` (each (V, D)
-    float32, made read-only without a copy), with graphs built at ``sigma``
-    in one call from ``rigs``: (M, V, 3), one rig per sample or a single rig
-    that all samples share.
+    """The Dataset of the samples ``labels`` and ``features``, one (M, V, D)
+    float32 stack that is sealed here, in place, so that no sample's row of it
+    can be made writable again; graphs are built at ``sigma`` in one call
+    from ``rigs``: (M, V, 3), one rig per sample or one that all share.
     A direction off unit norm is a ValidationError naming its rig by
     ``where``, formatted with the rig's index; a bad sigma stays the graph
     build's ValueError.
@@ -311,10 +308,9 @@ def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Datas
     except DirectionError as exc:
         raise ValidationError(f"{where.format(exc.rig)}: {exc}") from exc
     graphs *= len(labels) // len(graphs)
+    features.flags.writeable = False
     samples = [ShapeSample(label=int(label), features=feats, graph=graph)
                for label, feats, graph in zip(labels, features, graphs)]
-    for s in samples:
-        s.features.flags.writeable = False
     return Dataset(samples=samples, class_names=class_names, split=split)
 
 
@@ -352,8 +348,9 @@ def generate_synthetic(
     noise_rng = np.random.default_rng([seed, 1, zlib.crc32(split.encode("utf-8"))])
     clean = [dirs @ r.T + mu for r, mu in zip(response, offsets)]
     labels = [label for label in range(num_classes) for _ in range(shapes_per_class)]
-    features = [(clean[label] + noise * noise_rng.standard_normal((views, feature_dim)))
-                .astype(np.float32) for label in labels]
+    features = np.empty((len(labels), views, feature_dim), np.float32)
+    for i, label in enumerate(labels):
+        features[i] = clean[label] + noise * noise_rng.standard_normal((views, feature_dim))
     names = [f"class_{i}" for i in range(num_classes)]
     return _assemble(labels, features, dirs[None], sigma, names, split, "synthetic directions")
 
@@ -431,13 +428,15 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
         dirs = load_csv(manifest["directions_csv"], "directions CSV", 3)
     else:
         raise FormatError("manifest needs 'directions' or 'directions_csv'")
-    features = []
+    features = np.empty(0, np.float32)  # no shapes: Dataset names the error
     for i, entry in enumerate(manifest["shapes"]):
         if not isinstance(entry, dict) or "features_csv" not in entry or "label" not in entry:
             raise FormatError(f"shape entry {i} needs 'features_csv' and 'label'")
         check_json_types(entry, {"features_csv": str, "label": int}, f"shape entry {i}")
         feats = load_csv(entry["features_csv"], f"features of shape {i}", feature_dim)
-        features.append(feats.astype(np.float32))
+        if not i:  # sized once a CSV has shown that the shape is real
+            features = np.empty((len(manifest["shapes"]), views, feature_dim), np.float32)
+        features[i] = feats
     labels = [entry["label"] for entry in manifest["shapes"]]
     return _assemble(labels, features, dirs[None], sigma, manifest["class_names"],
                      manifest["split"], "manifest directions")

@@ -57,6 +57,10 @@ CHECKPOINT_MAGIC = b"3DVG-M"
 CHECKPOINT_VERSION = 2
 
 
+_LEAST = {"num_classes": 2, "input_dim": 1, "views": 1, "n_patterns": 2, "feature_dim": 1,
+          "epochs": 0, "batch_size": 1, "seed": 0, "plateau_patience": 0}
+
+
 @dataclass
 class TrainConfig:
     """Model dimensions, optimization settings, and ablation flags.
@@ -89,13 +93,9 @@ class TrainConfig:
     plateau_patience: int = 5
 
     def __post_init__(self, _drop_eq10_second_term):
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
-        for name in ("input_dim", "views", "feature_dim", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.n_patterns < 2:
-            raise ValueError("n_patterns must be >= 2")
+        for name, least in _LEAST.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         # Zero learning rate is allowed: it runs the full pipeline with
         # parameters frozen, which the determinism checks rely on. The
         # comparisons are written so that NaN fails them.
@@ -103,9 +103,6 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0.0 <= value < np.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("epochs", "plateau_patience", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.mean_pool and self.max_pool:
             raise ValueError("mean_pool and max_pool are mutually exclusive")
 
@@ -500,7 +497,7 @@ def load_checkpoint(path, digest=None) -> tuple[ModelParams, TrainConfig]:
     of it. Every byte read goes into ``digest`` when one is given."""
     with read_container(path, "checkpoint", digest) as r:
         version = r.header(CHECKPOINT_MAGIC, (1, CHECKPOINT_VERSION), "checkpoint")
-        blob = r.take(r.u32("config length"), "config block")
+        blob = r.take(r.uint(4, "config length"), "config block")
         try:
             cfg_dict = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -32,6 +32,13 @@ from .numeric import row_blocks
 # plateau counter.
 PLATEAU_REL_TOL = 1e-5
 
+# An epoch loss above this many times ln L, the loss of a uniform prediction
+# over L classes, is divergence: the true classes' geometric-mean probability
+# is then below L**-100. A run that overshoots and recovers stays far below
+# it (on the trainer tests' 3-class task, learning rate 10 peaks at 6.9 ln L
+# in epoch 0), while learning rate 1e3 starts at 1,010 ln L.
+DIVERGED_LOSS_FACTOR = 100.0
+
 # Bytes of the one buffer that holds a row block of the feature-layer update:
 # 16 rows at the paper point's K = 16,384, which each block leaves in cache
 # for its scaling and subtraction. Of 8, 16, 32 and 64 rows, 16 trained
@@ -90,8 +97,9 @@ def train(
     epoch. Training also stops once the epoch loss has gone
     ``plateau_patience`` consecutive epochs without improving on its best
     value by a relative ``PLATEAU_REL_TOL`` (patience 0 disables this).
-    Raises RuntimeError if the loss, a forward stage or any parameter goes
-    non-finite.
+    Raises RuntimeError ("training diverged") if the loss, a forward stage
+    or any parameter goes non-finite, or if an epoch's mean loss exceeds
+    ``DIVERGED_LOSS_FACTOR`` times ln L, the loss of a uniform prediction.
     """
     # the dataset checked itself when made; what remains needs the config,
     # so that a ValueError during training can only come from the parameters
@@ -149,9 +157,14 @@ def train(
                 f"training diverged: block '{bad}' went non-finite during "
                 f"epoch {epoch} (learning rate {config.learning_rate})"
             )
+        loss = loss_sum / num
+        if loss > DIVERGED_LOSS_FACTOR * np.log(config.num_classes):
+            raise RuntimeError(f"training diverged: epoch loss {loss:.4g} is over "
+                               f"{DIVERGED_LOSS_FACTOR:g} ln {config.num_classes} in epoch "
+                               f"{epoch} (learning rate {config.learning_rate})")
         stats = EpochStats(
             epoch=epoch,
-            loss=loss_sum / num,
+            loss=loss,
             accuracy=hits / num,
             seconds=time.perf_counter() - started,
         )

@@ -232,6 +232,20 @@ class TestTrainCommand:
         assert errors == ["error: sigma must be finite and >= 0, got -1.0"]
         assert "directions" not in err
 
+    def test_diverging_run_exits_1_with_the_divergence_line(self, tmp_path, capsys):
+        data = make_dataset(tmp_path / "d.3dvgd")
+        model = tmp_path / "m.3dvgm"
+        code = main(["train", "--data", str(data), "--out", str(model), "--n-patterns", "4",
+                     "--feature-dim", "8", "--epochs", "3", "--batch-size", "4",
+                     "--learning-rate", "1e3"])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: training diverged: epoch loss ")
+        assert errors[0].endswith(" is over 100 ln 2 in epoch 0 (learning rate 1000.0)")
+        assert not model.exists()
+
 
 class TestEvalCommand:
     def test_reports_accuracy_json(self, tmp_path, capsys):

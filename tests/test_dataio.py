@@ -377,10 +377,13 @@ class TestGenerator:
 
 
 def assert_features_read_only(ds):
-    """Every sample's features refuse an in-place write, with numpy's error."""
+    """Every sample's features refuse an in-place write, and refuse to be made
+    writable again, with numpy's errors."""
     for sample in ds.samples:
         with pytest.raises(ValueError, match="read-only"):
             sample.features[0, 0] = np.nan
+        with pytest.raises(ValueError, match="WRITEABLE"):
+            sample.features.flags.writeable = True
 
 
 class TestValidation:
@@ -470,6 +473,21 @@ class TestValidation:
         samples[1] = dataclasses.replace(samples[1], features=feats)
         assert Dataset(samples, ["a", "b"]).samples[1].features is feats
         assert feats.flags.writeable
+
+    def test_hand_built_samples_keep_the_callers_read_only_arrays(self):
+        samples = self._samples(0)
+        feats = np.zeros((4, 3), np.float32)
+        feats.flags.writeable = False
+        samples[1] = dataclasses.replace(samples[1], features=feats)
+        assert Dataset(samples, ["a", "b"]).samples[1].features is feats
+        feats.flags.writeable = True  # the caller's own array: still theirs to unseal
+
+    def test_synthetic_features_are_rows_of_one_float32_stack(self):
+        ds = generate_synthetic(2, 3, 4, 3, 0.1, 0)
+        stack = ds.samples[0].features.base
+        assert stack.shape == (6, 4, 3) and stack.dtype == np.float32
+        assert all(s.features.base is stack for s in ds.samples)
+        np.testing.assert_array_equal(ds.samples[5].features, stack[5])
 
 
 class TestLoaderErrors:

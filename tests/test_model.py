@@ -76,10 +76,10 @@ class TestConfig:
         TrainConfig(num_classes=3, learning_rate=0.0)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("input_dim", 0, "input_dim must be >= 1"),
-        ("views", 0, "views must be >= 1"),
-        ("feature_dim", 0, "feature_dim must be >= 1"),
-        ("batch_size", 0, "batch_size must be >= 1"),
+        ("input_dim", 0, "input_dim must be >= 1, got 0"),
+        ("views", 0, "views must be >= 1, got 0"),
+        ("feature_dim", 0, "feature_dim must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("epochs", -1, "epochs must be >= 0, got -1"),
         ("plateau_patience", -2, "plateau_patience must be >= 0, got -2"),
         ("seed", -1, "seed must be >= 0, got -1"),
@@ -87,6 +87,22 @@ class TestConfig:
     def test_count_fields_are_named(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             TrainConfig(num_classes=3, **{field: value})
+
+    @pytest.mark.parametrize("field,least", [
+        ("num_classes", 2), ("input_dim", 1), ("views", 1), ("n_patterns", 2),
+        ("feature_dim", 1), ("epochs", 0), ("batch_size", 1), ("seed", 0),
+        ("plateau_patience", 0),
+    ])
+    def test_every_integer_field_has_one_bound_rule(self, field, least):
+        values = {"num_classes": 3, field: least - 1}
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {least - 1}$"):
+            TrainConfig(**values)
+        assert getattr(TrainConfig(**{"num_classes": 3, field: least}), field) == least
+
+    def test_integer_fields_are_all_bounded(self):
+        for name in (f.name for f in dataclasses.fields(TrainConfig) if f.type is int):
+            with pytest.raises(ValueError, match=f"^{name} must be >= "):
+                TrainConfig(**{"num_classes": 3, name: -1})
 
     def test_derived_dimensions(self):
         cfg = TrainConfig(num_classes=3, input_dim=7, n_patterns=5)

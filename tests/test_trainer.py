@@ -1,6 +1,8 @@
 """SGD loop behavior: determinism, convergence, stopping, divergence guards,
 the row-blocked feature-layer update."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,25 @@ class TestGuards:
         cfg = small_config(epochs=2, batch_size=32, learning_rate=1e300)
         with pytest.raises(RuntimeError, match="diverged"):
             train(ds, cfg)
+
+    @pytest.mark.parametrize("lr,loss", [(1e3, "1106"), (1e10, "8.287e+09"),
+                                         (1e100, "8.287e+99")])
+    def test_finite_divergence_raises_runtime_error(self, lr, loss):
+        # the parameters stay finite, but the epoch loss is far past ln 3
+        epochs = []
+        message = (f"training diverged: epoch loss {loss} is over 100 ln 3 in epoch 0 "
+                   f"(learning rate {lr})")
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RuntimeError, match=f"^{re.escape(message)}$"):
+            train(small_task(), small_config(epochs=6, learning_rate=lr), callback=epochs.append)
+        assert epochs == []
+
+    @pytest.mark.parametrize("lr", [0.009, 0.5, 10.0])
+    def test_runs_that_converge_or_recover_finish(self, lr):
+        # learning rate 10 overshoots to 6.9 ln 3 in epoch 0, then recovers
+        result = train(small_task(), small_config(epochs=6, learning_rate=lr))
+        assert result.epochs_run == 6
+        assert max(s.loss for s in result.history) < vgt.DIVERGED_LOSS_FACTOR * np.log(3)
 
     def test_non_finite_loss_names_the_epoch(self):
         # finite classifier weights near the float64 limit overflow the logits
