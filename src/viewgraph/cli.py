@@ -30,8 +30,8 @@ import numpy as np
 
 from . import dataio, evalmetrics, trainer
 from .errors import ViewGraphError
-from .model import (TrainConfig, count_hits, infer, load_checkpoint, predict_features,
-                    sample_loss, save_checkpoint)
+from .model import (TrainConfig, count_hits, infer, load_checkpoint, sample_loss,
+                    save_checkpoint)
 from .model import forward  # noqa: F401 -- not called; perfbench/spans.py traces this binding
 
 log = logging.getLogger("viewgraph")
@@ -198,21 +198,21 @@ def _cmd_train(args) -> int:
     return _write_manifest(args, config, inputs, outputs)
 
 
-def _load_model_and_data(model, data):
-    """The checkpoint and the dataset, each given as (path, hash or None)."""
-    params, config = load_checkpoint(*model)
-    dataset = dataio.load(data[0], sigma=config.sigma, digest=data[1])
-    return params, config, dataset
+def _infer_file(params, config, path, digest, *names):
+    """``infer``'s ``names`` over the dataset file ``path``, read one planned block
+    at a time into ``digest``; a bad later sample fails after earlier blocks ran."""
+    reader = functools.partial(dataio.read_blocks, path, sigma=config.sigma, digest=digest)
+    return infer(reader, params, config, *names)
 
 
 def _cmd_eval(args) -> int:
     inputs = _hashes(args, model=args.model, data=args.data)
-    params, config, dataset = _load_model_and_data(inputs["model"], inputs["data"])
-    trace = infer(dataset.samples, params, config, "logits", "probs", "labels")
+    params, config = load_checkpoint(*inputs["model"])
+    trace = _infer_file(params, config, *inputs["data"], "logits", "probs", "labels")
     summary = {
-        "num_samples": dataset.num_samples,
-        "accuracy": count_hits(trace) / dataset.num_samples,
-        "mean_loss": float(np.mean(sample_loss(trace, dataset.samples))),
+        "num_samples": len(trace.labels),
+        "accuracy": count_hits(trace) / len(trace.labels),
+        "mean_loss": float(np.mean(sample_loss(trace))),
     }
     json.dump(summary, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -220,10 +220,10 @@ def _cmd_eval(args) -> int:
 
 
 def _split_features(params, config, path, digest) -> tuple[np.ndarray, np.ndarray]:
-    """Global features and labels of one dataset file; the dataset is freed
-    on return."""
-    dataset = dataio.load(path, sigma=config.sigma, digest=digest)
-    return predict_features(params, config, dataset), dataset.labels
+    """Global features and labels of one dataset file, streamed through
+    ``infer``; nothing else of the file outlives the call."""
+    trace = _infer_file(params, config, path, digest, "global_feature", "labels")
+    return trace.global_feature, trace.labels
 
 
 def _retrieval_run(args, inputs: dict):
@@ -290,16 +290,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_attention_dump(args) -> int:
-    params, config, dataset = _load_model_and_data((args.model, None), (args.data, None))
+    params, config = load_checkpoint(args.model)
     rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
-    alphas = infer(dataset.samples, params, config, "alpha").alpha
+    alphas = _infer_file(params, config, args.data, None, "alpha").alpha
     for si, alpha in enumerate(alphas):
-        top = int(np.argmax(alpha))
-        bottom = int(np.argmin(alpha))
+        top, bottom = int(np.argmax(alpha)), int(np.argmin(alpha))
         for vi, a in enumerate(alpha):
             rows.append([si, vi, f"{a:.17g}", int(vi == top), int(vi == bottom)])
     dataio.write_csv(args.out, rows, "attention CSV")
-    log.info("wrote %s for %d shapes x %d views", args.out, dataset.num_samples, dataset.views)
+    log.info("wrote %s for %d shapes x %d views", args.out, *alphas.shape)
     return 0
 
 

@@ -11,7 +11,7 @@ Binary layout (little-endian throughout), container tag ``3DVG-D``::
     dirs    float64 x views x 3          (x num_samples when per_shape_dirs)
     shapes  num_samples x (u32 label + float32 x views x feature_dim)
 
-``save`` and ``load`` share the header's ``struct.Struct`` and the record dtype.
+``save`` and ``read_blocks`` (``load``) share the header's struct and the record dtype.
 
 Features are stored as 32-bit floats (the precision upstream CNN features
 come in) and kept as float32 in memory, so a save/load round trip is
@@ -33,7 +33,7 @@ import os
 import struct
 import uuid
 import zlib
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +67,14 @@ class Dataset:
     """Shape samples with shared class names and a split tag; the samples and
     the names are stored as tuples. A Dataset checks its invariants when it is
     made, so every one in existence has passed them; a bad one raises
-    FormatError or ValidationError, naming the first bad sample."""
+    FormatError or ValidationError naming the first bad sample, counted from ``first``."""
 
     samples: tuple
     class_names: tuple
     split: str = "train"
+    first: InitVar[int] = 0
 
-    def __post_init__(self):
+    def __post_init__(self, first):
         if isinstance(self.class_names, str):
             raise FormatError(f"class names must be a sequence of str, got {self.class_names!r}")
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -88,7 +89,7 @@ class Dataset:
         views, dim = self.samples[0].features.shape
         if dim < 1:
             raise FormatError("feature dimension must be >= 1")
-        for i, s in enumerate(self.samples):
+        for i, s in enumerate(self.samples, first):
             if s.features.shape != (views, dim):
                 raise ValidationError(
                     f"sample {i}: features {s.features.shape}, expected ({views}, {dim})"
@@ -130,7 +131,7 @@ class _Reader:
     little-endian count. A count is checked against the bytes left
     (``os.fstat``) before anything is read or allocated: a short file is a
     DataIOError, never a short read. Every byte read also goes into ``digest``
-    (a hashlib object) when given, so after ``finish`` it hashes the file."""
+    (a hashlib object) when given, so after the last read it hashes the file."""
 
     def __init__(self, fh, digest=None):
         self.fh = fh
@@ -172,9 +173,12 @@ class _Reader:
             self.digest.update(out)
         return out
 
-    def finish(self) -> None:
-        if self.left:
-            raise FormatError(f"trailing bytes: {self.left} past end of layout")
+    def finish(self, rest: int = 0, what: str = "") -> None:
+        """Check that exactly ``rest`` bytes of ``what`` are left."""
+        if rest > self.left:
+            raise DataIOError(f"file truncated while reading {what}")
+        if self.left > rest:
+            raise FormatError(f"trailing bytes: {self.left - rest} past end of layout")
 
 
 @contextlib.contextmanager
@@ -262,14 +266,15 @@ def save(dataset: Dataset, path, digest=None) -> None:
     write_atomic(path, parts, "dataset", digest)
 
 
-def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
-    """Read and validate a dataset container, building graphs at ``sigma``.
-
-    The directions and the sample records are each read straight into one
-    array; a sample's features are a read-only view of the records. The
-    graphs of all rigs are built in one call. Every byte read goes into
-    ``digest`` when one is given.
-    """
+def read_blocks(path, plan, sigma: float = DEFAULT_SIGMA, digest=None):
+    """Read and validate a dataset container, building graphs at ``sigma``:
+    one Dataset per slice of ``plan(num_samples)``, slices that cover the
+    samples in order. The header, names, directions and the records' exact
+    byte count are checked before the first block (a short file is a
+    DataIOError, trailing bytes a FormatError). A shared rig's graph is built
+    once, per-shape rigs in one call per block; features are read-only views
+    of the block's records. A bad sample or rig is named by its index in the
+    file. Every byte read goes into ``digest``, in file order, if given."""
     with read_container(path, "dataset", digest) as r:
         r.header(DATASET_MAGIC, (DATASET_VERSION,), "dataset")
         num_classes, views, feature_dim, num_samples, per_shape = _HEADER.unpack(
@@ -280,38 +285,48 @@ def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
             raise FormatError("header counts must all be >= 1")
         split = r.string("split tag")
         class_names = [r.string(f"class name {i}") for i in range(num_classes)]
-        rigs = num_samples if per_shape else 1
-        dirs = r.array("<f8", rigs * views * 3, "view directions")
-        # claimed as bytes first: a subarray dtype of a corrupt size raises
-        # an untyped ValueError
-        records = r.array(np.uint8, num_samples * (4 + views * feature_dim * 4),
-                          "sample records")
-        r.finish()
-    records.flags.writeable = False  # so no sample's view of it can be made writable
-    records = records.view(_record_dtype(views, feature_dim))
-    return _assemble(records["label"], records["features"], dirs.reshape(rigs, views, 3),
-                     sigma, class_names, split,
-                     "directions of sample {}" if per_shape else "shared directions")
+        rigs = r.array("<f8", (num_samples if per_shape else 1) * views * 3, "view directions")
+        rigs = rigs.reshape(-1, views, 3)
+        # sized first: a subarray dtype of a corrupt size is an untyped ValueError
+        r.finish(num_samples * (4 + views * feature_dim * 4), "sample records")
+        record = _record_dtype(views, feature_dim)
+        shared = None if per_shape else _graphs(rigs, sigma, "shared directions")
+        for block in plan(num_samples):
+            records = r.array(np.uint8, (block.stop - block.start) * record.itemsize,
+                              "sample records")
+            records.flags.writeable = False  # so no sample's view of it can be made writable
+            records = records.view(record)
+            graphs = shared or _graphs(rigs[block], sigma, "directions of sample {}", block.start)
+            yield _assemble(records["label"], records["features"], graphs, class_names, split,
+                            block.start)
 
 
-def _assemble(labels, features, rigs, sigma, class_names, split, where) -> Dataset:
+def load(path, sigma: float = DEFAULT_SIGMA, digest=None) -> Dataset:
+    """``read_blocks``'s one whole-file block: the validated dataset container
+    at ``path``, graphs built at ``sigma``, every byte read fed to ``digest``."""
+    [dataset] = read_blocks(path, lambda count: [slice(0, count)], sigma, digest)
+    return dataset
+
+
+def _graphs(rigs, sigma, where, first=0) -> list:
+    """The graphs of ``rigs``, (M, V, 3), built at ``sigma`` in one call; a
+    direction off unit norm is a ValidationError naming its rig by ``where``,
+    formatted with ``first`` plus the rig's index."""
+    try:
+        return build_view_graph(rigs, sigma)
+    except DirectionError as exc:
+        raise ValidationError(f"{where.format(first + exc.rig)}: {exc}") from exc
+
+
+def _assemble(labels, features, graphs, class_names, split, first=0) -> Dataset:
     """The Dataset of the samples ``labels`` and ``features``, one (M, V, D)
     float32 stack that is sealed here, in place, so that no sample's row of it
-    can be made writable again; graphs are built at ``sigma`` in one call
-    from ``rigs``: (M, V, 3), one rig per sample or one that all share.
-    A direction off unit norm is a ValidationError naming its rig by
-    ``where``, formatted with the rig's index; a bad sigma stays the graph
-    build's ValueError.
-    """
-    try:
-        graphs = build_view_graph(rigs, sigma)
-    except DirectionError as exc:
-        raise ValidationError(f"{where.format(exc.rig)}: {exc}") from exc
-    graphs *= len(labels) // len(graphs)
+    can be made writable again, and ``graphs``, one per sample or one that all
+    share; ``first`` is the index of the first sample in its file."""
     features.flags.writeable = False
-    samples = [ShapeSample(label=int(label), features=feats, graph=graph)
-               for label, feats, graph in zip(labels, features, graphs)]
-    return Dataset(samples=samples, class_names=class_names, split=split)
+    samples = [ShapeSample(label=int(label), features=feats, graph=graph) for label, feats, graph
+               in zip(labels, features, graphs * (len(labels) // len(graphs)))]
+    return Dataset(samples, class_names, split, first)
 
 
 def generate_synthetic(
@@ -352,7 +367,8 @@ def generate_synthetic(
     for i, label in enumerate(labels):
         features[i] = clean[label] + noise * noise_rng.standard_normal((views, feature_dim))
     names = [f"class_{i}" for i in range(num_classes)]
-    return _assemble(labels, features, dirs[None], sigma, names, split, "synthetic directions")
+    return _assemble(labels, features, _graphs(dirs[None], sigma, "synthetic directions"),
+                     names, split)
 
 
 # JSON types a value may have, by the Python type it stands for.
@@ -438,5 +454,5 @@ def import_csv(manifest_path, sigma: float = DEFAULT_SIGMA) -> Dataset:
             features = np.empty((len(manifest["shapes"]), views, feature_dim), np.float32)
         features[i] = feats
     labels = [entry["label"] for entry in manifest["shapes"]]
-    return _assemble(labels, features, dirs[None], sigma, manifest["class_names"],
-                     manifest["split"], "manifest directions")
+    graphs = _graphs(dirs[None], sigma, "manifest directions")
+    return _assemble(labels, features, graphs, manifest["class_names"], manifest["split"])

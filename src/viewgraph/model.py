@@ -246,12 +246,12 @@ INFER_BLOCK_BYTES = 12 << 20
 EVAL_CHUNK = 32
 
 
-def check_samples(samples, config: TrainConfig) -> None:
+def check_samples(samples, config: TrainConfig, first: int = 0) -> None:
     """Reject a sample whose features are not (V, D), whose graph has another
     view count, or whose graph was built at another sigma while similarities
-    are read. The error names the sample's index in ``samples``."""
+    are read. The error names the sample's index in ``samples`` plus ``first``."""
     spatial = not (config.pooled_mode or config.no_spatiality)
-    for i, s in enumerate(samples):
+    for i, s in enumerate(samples, first):
         if np.shape(s.features) != (config.views, config.input_dim):
             raise ValueError(f"sample {i}: features are {np.shape(s.features)}, config "
                              f"expects ({config.views}, {config.input_dim}) (V, D)")
@@ -388,15 +388,18 @@ def dense_gradient(grad) -> np.ndarray:
     return grad[0].T @ grad[1] if isinstance(grad, tuple) else grad
 
 
-def sample_loss(trace: ForwardTrace, samples):
+def sample_loss(trace: ForwardTrace, samples=None):
     """Negative log-likelihood of each shape's true class, from the logits:
-    a (B,) array for a sequence of samples, a float for one sample.
+    a (B,) array for a sequence of samples, a float for one sample. The
+    labels are the samples', or the trace's own when ``samples`` is None.
 
     ``logsumexp(z) - z[label]`` is exact where the true class's probability
     underflows, so a saturated prediction reports its real loss.
     """
-    single = hasattr(samples, "label")
-    labels = np.array([samples.label] if single else [s.label for s in samples])
+    own = samples is None
+    single = np.ndim(trace.labels) == 0 if own else hasattr(samples, "label")
+    labels = np.atleast_1d(trace.labels if own else [samples.label] if single
+                           else [s.label for s in samples])
     z = np.atleast_2d(trace.logits)
     if len(z) != len(labels):
         raise ValueError(f"{len(z)} rows of logits for {len(labels)} samples")
@@ -414,28 +417,40 @@ def count_hits(trace) -> int:
 
 
 def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
-    """``forward`` over a sequence of shapes: the ``names`` fields, every other
-    field None. After one check, ``_describe``, ``classify`` and the softmax
-    run on the ``row_blocks`` of ``EVAL_CHUNK`` shapes. The feature layer runs
-    once per block of whole slices (split evenly, at most ``INFER_BLOCK_BYTES``
-    unless one slice is more), on one reused buffer that ``_describe`` fills.
-    So only the feature GEMM's row count depends on the budget: BLAS may sum a
-    small GEMM's row, such as the classifier's, differently at another row
-    count. A name whose field the describe step leaves None under ``config``
-    is a ValueError."""
-    count, width = len(samples), config.descriptor_dim
-    if count == 0:
-        raise ValueError("cannot run inference on an empty dataset")
+    """``forward`` over many shapes: the ``names`` fields, every other field
+    None. ``samples`` is a sequence, sliced into the plan's blocks, or a reader
+    that takes the plan and yields one Dataset per block, as ``read_blocks``
+    of ``dataio`` does. The plan is made once from the shape count: whole
+    slices of ``EVAL_CHUNK`` shapes, split evenly into blocks of at most
+    ``INFER_BLOCK_BYTES`` of descriptors unless one slice is more. A block is
+    checked (an error names a sample's index among all), then ``_describe``,
+    ``classify`` and the softmax run on its slices and the feature layer once
+    on it, in one reused buffer. So only the feature GEMM's row count depends
+    on the budget: BLAS may sum a small GEMM's row, such as the classifier's,
+    differently at another row count. A name whose field ``_describe`` leaves
+    None under ``config`` is a ValueError."""
+    width, buffer = config.descriptor_dim, None
+
+    def plan(count: int) -> list:
+        nonlocal buffer
+        if count == 0:
+            raise ValueError("cannot run inference on an empty dataset")
+        slices = math.ceil(count / EVAL_CHUNK)
+        per_block = max(1, INFER_BLOCK_BYTES // (8 * width * EVAL_CHUNK))
+        blocks = row_blocks(count, EVAL_CHUNK * math.ceil(slices / math.ceil(slices / per_block)))
+        buffer = np.empty((max(b.stop - b.start for b in blocks), width))
+        return blocks
+
+    source = samples(plan) if callable(samples) else (samples[b] for b in plan(len(samples)))
     validate_params(params, config)
-    check_samples(samples, config)
-    slices = math.ceil(count / EVAL_CHUNK)
-    per_block = max(1, INFER_BLOCK_BYTES // (8 * width * EVAL_CHUNK))
-    blocks = row_blocks(count, EVAL_CHUNK * math.ceil(slices / math.ceil(slices / per_block)))
-    buffer = np.empty((max(b.stop - b.start for b in blocks), width))
     kept = {name: [] for name in names}
     head = ("global_feature", "logits", "probs")
-    for block in blocks:
-        desc, batch = buffer[:block.stop - block.start], list(samples[block])
+    done = 0
+    for block in source:
+        batch = list(getattr(block, "samples", block))  # a reader yields Datasets
+        check_samples(batch, config, done)
+        done += len(batch)
+        desc = buffer[:len(batch)]
         inner = row_blocks(len(batch), EVAL_CHUNK)
         for rows in inner:
             trace = _describe(batch[rows], params, config, desc[rows])

@@ -7,6 +7,7 @@ import math
 import pathlib
 import platform
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,9 @@ import pytest
 from oracles import naive_hits, naive_shrec
 from viewgraph import cli, dataio, evalmetrics
 from viewgraph.cli import build_parser, main
-from viewgraph.model import BLOCK_NAMES, TrainConfig, load_checkpoint
+import viewgraph.model as vgm
+from viewgraph.geometry import build_view_graph
+from viewgraph.model import BLOCK_NAMES, TrainConfig, init_model, load_checkpoint, save_checkpoint
 
 
 def make_dataset(path, classes=2, per_class=4, views=4, input_dim=6, seed=5,
@@ -538,6 +541,99 @@ class TestAttentionDumpCommand:
         ])
         assert code == 1
         assert "attention" in capsys.readouterr().err
+
+
+class TestStreamedCommands:
+    """``eval``, ``retrieve`` and ``attention-dump`` read their file one
+    planned ``infer`` block at a time."""
+
+    CONFIG = TrainConfig(num_classes=3, input_dim=64, views=12, n_patterns=8, feature_dim=16)
+    RECORD_BYTES = 4 + 12 * 64 * 4  # a label and 12 x 64 float32 features
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        # 32-shape feature-layer blocks at K = 64
+        monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", 8 * 64 * vgm.EVAL_CHUNK)
+
+    def _files(self, tmp_path, count):
+        """A checkpoint, and a file of ``count`` shapes on a random rig each."""
+        model = tmp_path / "m.3dvgm"
+        save_checkpoint(model, init_model(self.CONFIG, np.random.default_rng(0)), self.CONFIG)
+        rng = np.random.default_rng(count)
+        raw = rng.standard_normal((count, 12, 3))
+        graphs = build_view_graph(raw / np.linalg.norm(raw, axis=2, keepdims=True), 10.0)
+        data = tmp_path / f"d{count}.3dvgd"
+        dataio.save(dataio.Dataset(
+            [dataio.ShapeSample(i % 3, rng.standard_normal((12, 64)).astype(np.float32), g)
+             for i, g in enumerate(graphs)], ["a", "b", "c"]), data)
+        return model, data
+
+    def _eval_peak(self, model, data, capsys) -> int:
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    def test_eval_memory_does_not_grow_with_the_file(self, tmp_path, capsys):
+        # What eval keeps of a shape is its logits, probabilities and label,
+        # 56 bytes at 3 classes, held twice while infer joins its blocks and a
+        # few times more in sample_loss's temporaries: about 0.1 of the
+        # 3,076-byte record. A file held whole grows the peak by its records
+        # and more (graphs, samples): 1.9 times the extra records when this
+        # test was written. A quarter leaves room for allocator noise and
+        # still fails when any whole-file array stays alive.
+        model, small = self._files(tmp_path, 150)
+        _, large = self._files(tmp_path, 600)
+        growth = self._eval_peak(model, large, capsys) - self._eval_peak(model, small, capsys)
+        extra_records = (600 - 150) * self.RECORD_BYTES
+        assert growth <= 0.25 * extra_records, f"{growth / extra_records:.2f} of the records"
+
+    def test_eval_equals_inference_over_the_loaded_file(self, tmp_path, capsys):
+        model, data = self._files(tmp_path, 100)
+        params, config = load_checkpoint(model)
+        samples = dataio.load(data).samples
+        trace = vgm.infer(samples, params, config, "logits", "probs", "labels")
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "num_samples": 100,
+            "accuracy": vgm.count_hits(trace) / 100,
+            "mean_loss": float(np.mean(vgm.sample_loss(trace, samples))),
+        }
+
+    def test_per_shape_graphs_are_built_once_per_block(self, tmp_path, capsys, monkeypatch):
+        model, data = self._files(tmp_path, 100)
+        rigs = []
+        build = dataio.build_view_graph
+
+        def counted(directions, sigma):
+            rigs.append(len(directions))
+            return build(directions, sigma)
+
+        monkeypatch.setattr(dataio, "build_view_graph", counted)
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+        capsys.readouterr()
+        assert rigs == [32, 32, 32, 4]
+
+    @pytest.mark.parametrize("command,output", [
+        (["eval"], None),
+        (["retrieve"], "--metrics-csv"),
+        (["attention-dump"], "--out"),
+    ])
+    def test_a_bad_sample_of_a_later_block_fails_before_any_output(
+            self, tmp_path, capsys, command, output):
+        model, data = self._files(tmp_path, 100)
+        blob = bytearray(data.read_bytes())
+        struct.pack_into("<I", blob, len(blob) - (100 - 70) * self.RECORD_BYTES, 3)
+        data.write_bytes(bytes(blob))
+        out = tmp_path / "out"
+        argv = [*command, "--model", str(model), "--data", str(data),
+                "--manifest" if output is None else output, str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: sample 70: label 3 out of range [0, 3)\n"
+        assert not out.exists()
 
 
 class TestUsageAndErrors:

@@ -27,6 +27,7 @@ from viewgraph.dataio import (
 from viewgraph.errors import DataIOError, FormatError, ValidationError
 from viewgraph.geometry import ViewGraph, build_view_graph, default_viewpoints
 from viewgraph.model import TrainConfig, init_model, load_checkpoint, save_checkpoint
+from viewgraph.numeric import row_blocks
 
 
 class TestRoundTrip:
@@ -603,6 +604,152 @@ class TestLoaderErrors:
 
     def test_magic_constant(self):
         assert DATASET_MAGIC == b"3DVG-D"
+
+
+def rig_dataset(count, views=5, dim=3, classes=3, seed=0, per_shape=True):
+    """``count`` shapes, each on its own random rig or all on one shared rig."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count if per_shape else 1, views, 3))
+    graphs = build_view_graph(raw / np.linalg.norm(raw, axis=2, keepdims=True), 10.0)
+    graphs *= count // len(graphs)
+    return Dataset([ShapeSample(i % classes, rng.standard_normal((views, dim)).astype(np.float32),
+                                graph) for i, graph in enumerate(graphs)],
+                   [f"class_{i}" for i in range(classes)])
+
+
+def blocks_of_four(count):
+    """10 shapes run as 4 + 4 + 2, the last block short."""
+    return row_blocks(count, 4)
+
+
+class TestBlockReader:
+    """``read_blocks`` yields a file's planned blocks; ``load`` is its one
+    whole-file block."""
+
+    @staticmethod
+    def _file(tmp_path, per_shape=True, name="d.3dvgd"):
+        path = tmp_path / name
+        save(rig_dataset(10, per_shape=per_shape), path)
+        return path
+
+    @staticmethod
+    def _patched(path, sample, fmt, value, offset=0, count=10, record=4 + 5 * 3 * 4):
+        """Write ``value`` into sample ``sample``'s record, ``offset`` bytes in."""
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, len(data) - (count - sample) * record + offset, value)
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("per_shape", [True, False], ids=["per-shape", "shared"])
+    def test_load_is_the_blocks_joined(self, tmp_path, per_shape):
+        path = self._file(tmp_path, per_shape)
+        whole = load(path, sigma=3.0)
+        blocks = list(vgd.read_blocks(path, blocks_of_four, sigma=3.0))
+        assert [b.num_samples for b in blocks] == [4, 4, 2]
+        joined = [s for b in blocks for s in b.samples]
+        for block in blocks:
+            assert (block.class_names, block.split) == (whole.class_names, whole.split)
+            assert_features_read_only(block)
+        assert [s.label for s in joined] == [s.label for s in whole.samples]
+        assert all(s.features.dtype == np.float32 for s in joined)
+        assert (b"".join(s.features.tobytes() for s in joined)
+                == b"".join(s.features.tobytes() for s in whole.samples))
+        for got, want in zip(joined, whole.samples):
+            assert got.graph.sigma == want.graph.sigma == 3.0
+            assert got.graph.directions.tobytes() == want.graph.directions.tobytes()
+            assert got.graph.similarity.tobytes() == want.graph.similarity.tobytes()
+        assert len({id(s.graph) for s in joined}) == (10 if per_shape else 1)
+
+    @pytest.mark.parametrize("fmt,value,offset,error,message", [
+        ("<f", np.nan, 4 + 7 * 4, ValidationError, "sample 5: non-finite feature values"),
+        ("<I", 3, 0, ValidationError, "sample 5: label 3 out of range [0, 3)"),
+    ], ids=["nan-feature", "label-out-of-range"])
+    def test_bad_sample_of_a_later_block_is_named_by_its_index_in_the_file(
+            self, tmp_path, fmt, value, offset, error, message):
+        path = self._patched(self._file(tmp_path), 5, fmt, value, offset)
+        with pytest.raises(error, match=re.escape(message)) as loaded:
+            load(path)
+        blocks = vgd.read_blocks(path, blocks_of_four)
+        assert next(blocks).num_samples == 4
+        with pytest.raises(type(loaded.value)) as streamed:
+            next(blocks)
+        assert str(streamed.value) == str(loaded.value) == message
+
+    def test_bad_rig_of_a_later_block_is_named_by_its_index_in_the_file(self, tmp_path):
+        path = self._file(tmp_path)
+        data = bytearray(path.read_bytes())
+        rigs = len(data) - 10 * (4 + 5 * 3 * 4) - 10 * 5 * 3 * 8
+        struct.pack_into("<d", data, rigs + (6 * 5 + 2) * 3 * 8, 9.0)  # sample 6, direction 2
+        path.write_bytes(bytes(data))
+        message = "directions of sample 6: direction 2 is not unit norm"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load(path)
+        blocks = vgd.read_blocks(path, blocks_of_four)
+        next(blocks)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            next(blocks)
+
+    @pytest.mark.parametrize("cut,error,message", [
+        (-7, DataIOError, "file truncated while reading sample records"),
+        (None, FormatError, "trailing bytes: 1 past end of layout"),
+    ], ids=["cut-in-the-records", "one-trailing-byte"])
+    def test_a_file_of_the_wrong_length_fails_before_the_first_block(
+            self, tmp_path, cut, error, message):
+        path = self._file(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut else data + b"\0")
+        with pytest.raises(error, match=re.escape(message)) as loaded:
+            load(path)
+        planned = []
+        with pytest.raises(error) as streamed:
+            next(vgd.read_blocks(path, lambda count: planned.append(count) or [slice(0, count)]))
+        assert str(streamed.value) == str(loaded.value)
+        assert planned == []
+
+    @pytest.mark.parametrize("per_shape", [True, False], ids=["per-shape", "shared"])
+    def test_digest_after_the_last_block_is_the_file_hash(self, tmp_path, per_shape):
+        path = self._file(tmp_path, per_shape)
+        digest = hashlib.sha256()
+        for _ in vgd.read_blocks(path, blocks_of_four, digest=digest):
+            pass
+        assert digest.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("per_shape,builds", [(True, [4, 4, 2]), (False, [1])],
+                             ids=["per-shape", "shared"])
+    def test_graphs_are_built_once_per_file_or_once_per_block(
+            self, tmp_path, monkeypatch, per_shape, builds):
+        path = self._file(tmp_path, per_shape)
+        rigs = []
+        build = vgd.build_view_graph
+
+        def counted(directions, sigma):
+            rigs.append(len(directions))
+            return build(directions, sigma)
+
+        monkeypatch.setattr(vgd, "build_view_graph", counted)
+        assert sum(b.num_samples for b in vgd.read_blocks(path, blocks_of_four)) == 10
+        assert rigs == builds
+        rigs.clear()
+        load(path)
+        assert rigs == [10 if per_shape else 1]
+
+    def test_the_file_is_closed_on_every_exit_path(self, tmp_path, monkeypatch):
+        path = self._file(tmp_path)
+        bad = self._patched(self._file(tmp_path, name="bad.3dvgd"), 5, "<I", 3)
+        opened = []
+
+        def watched(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(vgd, "open", watched, raising=False)
+        list(vgd.read_blocks(path, blocks_of_four))  # read to the end
+        blocks = vgd.read_blocks(path, blocks_of_four)
+        next(blocks)
+        blocks.close()  # abandoned after the first block
+        with pytest.raises(ValidationError):  # a bad sample in the second block
+            list(vgd.read_blocks(bad, blocks_of_four))
+        assert len(opened) == 3 and all(fh.closed for fh in opened)
 
 
 class TestCsvImport:

@@ -1,6 +1,7 @@
 """The composed network: forward traces, ablation flags, checkpoints."""
 
 import dataclasses
+import functools
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ import pytest
 
 import viewgraph.model as vgm
 from oracles import dense_backward, dense_forward
-from viewgraph.dataio import ShapeSample, generate_synthetic
+from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic, load, read_blocks, save
 from viewgraph.errors import DataIOError, FormatError, ViewGraphError
 from viewgraph.geometry import build_view_graph, default_viewpoints
 from viewgraph.model import (
@@ -298,6 +299,73 @@ class TestForward:
         trace = forward(sample, params, cfg)
         with pytest.raises(RuntimeError, match="stale trace"):
             backward(trace, other_params, other_cfg)
+
+
+def rig_samples(count, config, seed=0):
+    """``count`` shapes of ``config``'s size, each on its own random rig."""
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((count, config.views, 3))
+    graphs = build_view_graph(raw / np.linalg.norm(raw, axis=2, keepdims=True), config.sigma)
+    return [ShapeSample(int(rng.integers(config.num_classes)),
+                        rng.standard_normal((config.views, config.input_dim)).astype(np.float32),
+                        graph) for graph in graphs]
+
+
+class TestStreamedInfer:
+    """``infer`` over ``dataio.read_blocks`` gives the bits of ``infer`` over
+    the loaded Dataset: the reader yields exactly the blocks ``infer`` plans."""
+
+    FIELDS = tuple(f.name for f in dataclasses.fields(vgm.ForwardTrace))
+
+    def _assert_same_bits(self, tmp_path, monkeypatch, count, config, blocks):
+        path = tmp_path / "d.3dvgd"
+        save(Dataset(rig_samples(count, config), [str(i) for i in range(config.num_classes)]),
+             path)
+        params = init_model(config, np.random.default_rng(1))
+        rows = []
+        gemm = vgm.global_feature
+        monkeypatch.setattr(vgm, "global_feature", lambda desc, cls: rows.append(len(desc))
+                            or gemm(desc, cls))
+        whole = vgm.infer(load(path, sigma=config.sigma).samples, params, config, *self.FIELDS)
+        reader = functools.partial(read_blocks, path, sigma=config.sigma)
+        streamed = vgm.infer(reader, params, config, *self.FIELDS)
+        assert rows == blocks * 2
+        for name in self.FIELDS:
+            got, want = getattr(streamed, name), getattr(whole, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_paper_point(self, tmp_path, monkeypatch):
+        config = TrainConfig(num_classes=10, input_dim=64, views=20)
+        self._assert_same_bits(tmp_path, monkeypatch, 200, config, [96, 96, 8])
+
+    def test_small_feature_layer_over_blocks_with_a_short_last(self, tmp_path, monkeypatch):
+        # K = 64, F = 16, where a GEMM row's bits can depend on the block's
+        # row count: four blocks, the last of 4 rows
+        config = TrainConfig(num_classes=4, input_dim=32, views=12, n_patterns=8,
+                             feature_dim=16)
+        monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", 8 * 64 * vgm.EVAL_CHUNK)
+        self._assert_same_bits(tmp_path, monkeypatch, 100, config, [32, 32, 32, 4])
+
+    def test_a_bad_sample_of_a_later_block_is_named_by_its_index(self, monkeypatch):
+        config = TrainConfig(num_classes=3, input_dim=5, views=4, n_patterns=4,
+                             feature_dim=6)
+        samples = rig_samples(100, config)
+        bad = samples[70]
+        samples[70] = ShapeSample(bad.label, bad.features,
+                                  build_view_graph(bad.graph.directions, 3.0))
+        monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", 8 * 16 * vgm.EVAL_CHUNK)
+        with pytest.raises(ValueError, match=r"^sample 70: graph built with sigma=3\.0,"):
+            vgm.infer(samples, init_model(config, np.random.default_rng(0)), config, "probs")
+
+    def test_loss_of_the_traces_own_labels(self):
+        cfg, sample, params = make_instance()
+        batch = forward([sample] * 3, params, cfg)
+        np.testing.assert_array_equal(sample_loss(batch), sample_loss(batch, [sample] * 3))
+        single = forward(sample, params, cfg)
+        assert sample_loss(single) == sample_loss(single, sample)
+        with pytest.raises(ValueError, match=r"^label 3 out of range \[0, 3\)"):
+            sample_loss(dataclasses.replace(batch, labels=np.array([0, 3, 1])))
 
 
 class TestBackwardRoutes:
