@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import logging
 import os
@@ -101,38 +102,33 @@ def _write_manifest(args, config, inputs: dict, outputs: list) -> int:
     return 0
 
 
-def _add_model_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("model")
-    group.add_argument("--n-patterns", type=int, default=TrainConfig.n_patterns,
-                       help="latent pattern count (default %(default)s)")
-    group.add_argument("--feature-dim", type=int, default=TrainConfig.feature_dim,
-                       help="global feature width (default %(default)s)")
-    group.add_argument("--sigma", type=float, default=TrainConfig.sigma,
-                       help="spatial decay of the view graph (default %(default)s)")
-    flags = parser.add_argument_group("ablations")
-    flags.add_argument("--no-spatiality", action="store_true",
-                       help="weight all view pairs equally")
-    flags.add_argument("--no-attention", action="store_true",
-                       help="replace attention with uniform weights")
-    flags.add_argument("--no-latent", action="store_true",
-                       help="skip the latent embedding, use raw features")
-    flags.add_argument("--no-correlation", action="store_true",
-                       help="keep weighted sums as vectors instead of outer products")
-    flags.add_argument("--mean-pool", action="store_true",
-                       help="mean-pool embeddings, bypassing the view graph")
-    flags.add_argument("--max-pool", action="store_true",
-                       help="max-pool embeddings, bypassing the view graph")
+# The help text of each TrainConfig field's option, where it has one.
+_OPTION_HELP = {
+    "n_patterns": "latent pattern count (default %(default)s)",
+    "feature_dim": "global feature width (default %(default)s)",
+    "sigma": "spatial decay of the view graph (default %(default)s)",
+    "learning_rate": "SGD step size (default %(default)s)",
+    "seed": "seed of the run's random draws",
+    "plateau_patience": "epochs without loss improvement before stopping; 0 disables",
+    "no_spatiality": "weight all view pairs equally",
+    "no_attention": "replace attention with uniform weights",
+    "no_latent": "skip the latent embedding, use raw features",
+    "no_correlation": "keep weighted sums as vectors instead of outer products",
+    "mean_pool": "mean-pool embeddings, bypassing the view graph",
+    "max_pool": "max-pool embeddings, bypassing the view graph",
+}
 
 
-def _add_optim_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("optimization")
-    group.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate,
-                       help="SGD step size (default %(default)s)")
-    group.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    group.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    group.add_argument("--seed", type=int, default=TrainConfig.seed)
-    group.add_argument("--plateau-patience", type=int, default=TrainConfig.plateau_patience,
-                       help="epochs without loss improvement before stopping; 0 disables")
+def _add_config_args(parser: argparse.ArgumentParser, *skip: str) -> None:
+    """An option for each TrainConfig field not in ``skip``, of the field's name
+    (``--n-patterns``), type and default; a bool field is an "ablations" flag."""
+    config, ablations = (parser.add_argument_group(g) for g in ("configuration", "ablations"))
+    for f in (f for f in fields(TrainConfig) if f.name not in skip):
+        option, text = "--" + f.name.replace("_", "-"), _OPTION_HELP.get(f.name)
+        if f.type is bool:
+            ablations.add_argument(option, action="store_true", help=text)
+        else:
+            config.add_argument(option, type=f.type, default=f.default, help=text)
 
 
 def _config_from_args(args, **dims) -> TrainConfig:
@@ -291,13 +287,12 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_attention_dump(args) -> int:
     params, config = load_checkpoint(args.model)
-    rows = [["shape_index", "view_index", "alpha", "is_max", "is_min"]]
     alphas = _infer_file(params, config, args.data, None, "alpha").alpha
-    for si, alpha in enumerate(alphas):
-        top, bottom = int(np.argmax(alpha)), int(np.argmin(alpha))
-        for vi, a in enumerate(alpha):
-            rows.append([si, vi, f"{a:.17g}", int(vi == top), int(vi == bottom)])
-    dataio.write_csv(args.out, rows, "attention CSV")
+    extremes = enumerate(zip(alphas, alphas.argmax(axis=1), alphas.argmin(axis=1)))
+    rows = ((si, vi, a, int(vi == top), int(vi == bottom))  # made one at a time, never held
+            for si, (alpha, top, bottom) in extremes for vi, a in enumerate(alpha.tolist()))
+    header = ("shape_index", "view_index", "alpha", "is_max", "is_min")
+    dataio.write_csv(args.out, itertools.chain([header], rows), "attention CSV")
     log.info("wrote %s for %d shapes x %d views", args.out, *alphas.shape)
     return 0
 
@@ -327,8 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--log-file", help="write per-epoch stats as JSON lines")
     p.add_argument("--manifest", help="write a JSON run manifest here")
-    _add_model_args(p)
-    _add_optim_args(p)
+    _add_config_args(p, "num_classes", "input_dim", "views")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="score classification accuracy")
@@ -353,14 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a random instance")
     p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--views", type=int, default=3)
-    p.add_argument("--input-dim", type=int, default=5)
     p.add_argument("--h", type=float, default=1e-5, help="finite-difference step")
     p.add_argument("--tol", type=float, default=1e-5, help="max relative error to pass")
-    p.add_argument("--seed", type=int, default=0, help="seed of the random instance")
-    _add_model_args(p)
+    _add_config_args(p, "num_classes", "learning_rate", "epochs", "batch_size",
+                     "plateau_patience")
     # Small dims by default: the check walks every parameter entry.
-    p.set_defaults(func=_cmd_gradcheck, n_patterns=4, feature_dim=6)
+    p.set_defaults(func=_cmd_gradcheck, views=3, input_dim=5, n_patterns=4, feature_dim=6)
 
     p = sub.add_parser("attention-dump", help="export per-view attention weights")
     p.add_argument("--model", required=True, help="checkpoint path")

@@ -86,10 +86,14 @@ class Dataset:
         for text in [self.split, *self.class_names]:
             if not isinstance(text, str):
                 raise FormatError(f"split and class names must be str, got {text!r}")
-        views, dim = self.samples[0].features.shape
-        if dim < 1:
-            raise FormatError("feature dimension must be >= 1")
         for i, s in enumerate(self.samples, first):
+            if not isinstance(s.features, np.ndarray) or s.features.ndim != 2:
+                got = getattr(s.features, "shape", type(s.features).__name__)
+                raise ValidationError(f"sample {i}: features must be a 2-D array, got {got}")
+            if i == first:
+                views, dim = s.features.shape
+                if dim < 1:
+                    raise FormatError("feature dimension must be >= 1")
             if s.features.shape != (views, dim):
                 raise ValidationError(
                     f"sample {i}: features {s.features.shape}, expected ({views}, {dim})"
@@ -234,10 +238,14 @@ def write_atomic(path, parts, what: str, digest=None) -> None:
 
 
 def write_csv(path, rows, what: str) -> None:
-    """Render ``rows`` (header first) as CSV text and write it atomically."""
-    text = io.StringIO()
-    csv.writer(text).writerows(rows)
-    write_atomic(path, [text.getvalue().encode()], what)
+    """Write ``rows``, any iterable of rows with the header first, as UTF-8 CSV
+    atomically; each row is encoded as it comes, so the bytes are held once.
+    Every float gets 17 significant digits, enough to read it back exactly."""
+    text = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="")
+    writer = csv.writer(text)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    write_atomic(path, [text.detach().getbuffer()], what)
 
 
 def save(dataset: Dataset, path, digest=None) -> None:

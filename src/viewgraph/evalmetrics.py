@@ -15,7 +15,7 @@ bit-identical results, not merely close ones.
 """
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
@@ -407,30 +407,17 @@ def pr_curve(run: RetrievalRun, points: int = 21) -> tuple[np.ndarray, np.ndarra
     return grid, precisions
 
 
-def _digits(*values) -> list:
-    """Each float with 17 significant digits, enough to read it back exactly."""
-    return [f"{v:.17g}" for v in values]
-
-
 def write_metrics_csv(path, report: RetrievalReport) -> None:
     """Two-row summary table: micro and macro averages."""
-    rows = [["scope", "precision", "recall", "f1", "map", "ndcg"]]
-    for scope, s in (("micro", report.micro), ("macro", report.macro)):
-        rows.append([scope] + _digits(s.precision, s.recall, s.f1, s.map, s.ndcg))
-    write_csv(path, rows, "metrics CSV")
+    header = ["scope", *(f.name for f in fields(MetricSummary))]
+    write_csv(path, [header, ["micro", *vars(report.micro).values()],
+                     ["macro", *vars(report.macro).values()]], "metrics CSV")
 
 
 def write_per_query_csv(path, report: RetrievalReport) -> None:
-    rows = [["query", "label", "cutoff", "precision", "recall", "f1", "ap", "ndcg"]]
-    for r in report.per_query:
-        rows.append(
-            [r.query, r.label, r.cutoff]
-            + _digits(r.precision, r.recall, r.f1, r.ap, r.ndcg)
-        )
-    write_csv(path, rows, "per-query CSV")
+    header = [f.name for f in fields(QueryMetrics)]
+    write_csv(path, [header, *(vars(r).values() for r in report.per_query)], "per-query CSV")
 
 
 def write_pr_csv(path, recalls: np.ndarray, precisions: np.ndarray) -> None:
-    rows = [["recall", "precision"]]
-    rows += [_digits(r, p) for r, p in zip(recalls, precisions)]
-    write_csv(path, rows, "PR-curve CSV")
+    write_csv(path, [["recall", "precision"], *zip(recalls, precisions)], "PR-curve CSV")

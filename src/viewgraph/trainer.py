@@ -128,7 +128,7 @@ def train(
             batch = [dataset.samples[i] for i in order[lo : lo + config.batch_size]]
             try:
                 trace = _run(batch, params, config)
-                losses = sample_loss(trace, batch)
+                losses = sample_loss(trace)
                 if not np.isfinite(losses).all():
                     raise ValueError("non-finite loss")
             except ValueError as exc:
@@ -217,7 +217,7 @@ def grad_check(
     analytic.feat_weights = dense_gradient(analytic.feat_weights)
 
     def loss_at() -> float:
-        return sample_loss(forward(sample, work, config), sample)
+        return sample_loss(forward(sample, work, config))
 
     report = {}
     for name, arr in work.blocks():

@@ -509,6 +509,17 @@ class TestGradcheckCommand:
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: --tol must be finite and > 0, got {float(tol)}"]
 
+    def test_config_options_and_small_defaults(self):
+        # every TrainConfig field but the class count and the optimizer's,
+        # with small dims by default: the check walks every parameter entry
+        args = vars(build_parser().parse_args(["gradcheck"]))
+        flags = [f.name for f in dataclasses.fields(TrainConfig) if f.type is bool]
+        want = dict(views=3, input_dim=5, n_patterns=4, feature_dim=6, sigma=10.0, seed=0,
+                    **dict.fromkeys(flags, False))
+        offered = [f.name for f in dataclasses.fields(TrainConfig) if f.name in args]
+        assert sorted(offered) == sorted(want)
+        assert {name: args[name] for name in want} == want
+
 
 class TestAttentionDumpCommand:
     def test_writes_alpha_table(self, tmp_path):
@@ -590,6 +601,26 @@ class TestStreamedCommands:
         growth = self._eval_peak(model, large, capsys) - self._eval_peak(model, small, capsys)
         extra_records = (600 - 150) * self.RECORD_BYTES
         assert growth <= 0.25 * extra_records, f"{growth / extra_records:.2f} of the records"
+
+    def test_attention_dump_memory_stays_below_the_file(self, tmp_path):
+        # attention-dump keeps a shape's 12 alphas (96 bytes) and the CSV
+        # bytes of its rows (about 380), held once until the atomic write:
+        # 0.11 to 0.14 of the 3,076-byte record when this test was written. A
+        # table of rows held as Python lists, and the CSV text copied to
+        # bytes, grew the peak by 1.1 times the extra records.
+        model, small = self._files(tmp_path, 150)
+        _, large = self._files(tmp_path, 600)
+        peaks = []
+        for data in (small, large):
+            tracemalloc.start()
+            try:
+                assert main(["attention-dump", "--model", str(model), "--data", str(data),
+                             "--out", str(tmp_path / "alpha.csv")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        growth, extra_records = peaks[1] - peaks[0], (600 - 150) * self.RECORD_BYTES
+        assert growth <= 0.5 * extra_records, f"{growth / extra_records:.2f} of the records"
 
     def test_eval_equals_inference_over_the_loaded_file(self, tmp_path, capsys):
         model, data = self._files(tmp_path, 100)

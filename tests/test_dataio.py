@@ -213,6 +213,20 @@ class TestPinnedBytes:
         assert hashlib.sha256((tmp_path / "d.3dvgd").read_bytes()).hexdigest() == expected
 
 
+class TestWriteCsv:
+    def test_every_float_has_17_significant_digits(self, tmp_path):
+        # rows come from a generator; floats, numpy's float64 among them,
+        # get 17 significant digits, and ints and strs are written as they are
+        values = [0.1, 1 / 3, np.float64(2 / 3), -0.0, float("nan"), float("inf"),
+                  -np.inf, 7, np.int64(-3), "a,b", ""]
+        vgd.write_csv(tmp_path / "t.csv", (row for row in [["x", "y"], values[:6], values[6:]]),
+                      "test CSV")
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"x,y\r\n"
+            b"0.10000000000000001,0.33333333333333331,0.66666666666666663,-0,nan,inf\r\n"
+            b'-inf,7,-3,"a,b",\r\n')
+
+
 class TestAtomicWrite:
     @staticmethod
     def _fail_and_check(tmp_path, monkeypatch, writer, whole):
@@ -425,6 +439,23 @@ class TestValidation:
     def test_empty_rejected(self):
         with pytest.raises(FormatError):
             Dataset(samples=[], class_names=["a"], split="x")
+
+    @pytest.mark.parametrize("index", [0, 2])
+    @pytest.mark.parametrize("features,got", [
+        (np.zeros(4, np.float32), r"\(4,\)"),
+        (np.zeros((4, 3, 1), np.float32), r"\(4, 3, 1\)"),
+        ([[0.0] * 3] * 4, "list"),
+    ], ids=["1-D", "3-D", "list"])
+    def test_features_that_are_not_a_2d_array(self, index, features, got):
+        # sample 0 sets the expected shape, and is named like any other
+        with pytest.raises(ValidationError,
+                           match=f"^sample {index}: features must be a 2-D array, got {got}$"):
+            Dataset(self._samples(index, features=features), ["a", "b"])
+
+    def test_bad_features_are_named_from_first(self):
+        samples = self._samples(0, features=np.zeros(4, np.float32))
+        with pytest.raises(ValidationError, match="^sample 10: features"):
+            Dataset(samples, ["a", "b"], first=10)
 
     def test_graph_of_another_view_count(self):
         other = build_view_graph(default_viewpoints(5), 10.0)

@@ -376,6 +376,42 @@ class TestSixItemHandExample:
     def test_equals_oracle(self):
         assert_report_equals_oracle(self.run())
 
+    def test_csv_text_is_pinned(self, tmp_path):
+        # the three report CSVs byte for byte: headers, row order, 17
+        # significant digits, "0" and "1" for whole floats, CRLF line ends
+        run = self.run()
+        report = shrec_metrics(run)
+        write_metrics_csv(tmp_path / "metrics.csv", report)
+        write_per_query_csv(tmp_path / "per-query.csv", report)
+        write_pr_csv(tmp_path / "pr.csv", *pr_curve(run))
+        third, half, fifth = "0.33333333333333331", "0.5", "0.40000000000000002"
+        assert (tmp_path / "metrics.csv").read_bytes().decode().split("\r\n") == [
+            "scope,precision,recall,f1,map,ndcg",
+            f"micro,{third},{half},0.40000000000000008,0.55972222222222223,0.44890440060287845",
+            f"macro,{third},{half},{fifth},0.55972222222222223,0.44890440060287845",
+            "",
+        ]
+        assert (tmp_path / "per-query.csv").read_bytes().decode().split("\r\n") == [
+            "query,label,cutoff,precision,recall,f1,ap,ndcg",
+            f"0,0,3,{third},{half},{fifth},0.75,0.61314719276545837",
+            f"1,0,3,{third},{half},{fifth},0.75,0.61314719276545837",
+            "2,0,3,0,0,0,0.32500000000000001,0",
+            f"3,1,3,{third},{half},{fifth},0.45000000000000001,0.38685280723454163",
+            f"4,1,3,{third},{half},{fifth},0.5,0.38685280723454163",
+            "5,1,3,0.66666666666666663,1,0.80000000000000004,0.58333333333333326,"
+            "0.69342640361727081",
+            "",
+        ]
+        recalls = ["0", "0.050000000000000003", "0.10000000000000001", "0.14999999999999999",
+                   "0.20000000000000001", "0.25", "0.29999999999999999", "0.34999999999999998",
+                   "0.40000000000000002", "0.45000000000000001", "0.5", "0.55000000000000004",
+                   "0.59999999999999998", "0.65000000000000002", "0.69999999999999996", "0.75",
+                   "0.80000000000000004", "0.84999999999999998", "0.90000000000000002",
+                   "0.94999999999999996", "1"]
+        precisions = ["0.6777777777777777"] * 11 + ["0.49444444444444446"] * 10
+        assert (tmp_path / "pr.csv").read_bytes().decode().split("\r\n") == [
+            "recall,precision", *map(",".join, zip(recalls, precisions)), ""]
+
 
 class TestShrecMetrics:
     def test_single_class_gallery_scores_one_everywhere(self):
