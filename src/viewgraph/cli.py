@@ -194,17 +194,10 @@ def _cmd_train(args) -> int:
     return _write_manifest(args, config, inputs, outputs)
 
 
-def _infer_file(params, config, path, digest, *names):
-    """``infer``'s ``names`` over the dataset file ``path``, read one planned block
-    at a time into ``digest``; a bad later sample fails after earlier blocks ran."""
-    reader = functools.partial(dataio.read_blocks, path, sigma=config.sigma, digest=digest)
-    return infer(reader, params, config, *names)
-
-
 def _cmd_eval(args) -> int:
     inputs = _hashes(args, model=args.model, data=args.data)
     params, config = load_checkpoint(*inputs["model"])
-    trace = _infer_file(params, config, *inputs["data"], "logits", "probs", "labels")
+    trace = infer(args.data, params, config, "logits", "probs", "labels", digest=inputs["data"][1])
     summary = {
         "num_samples": len(trace.labels),
         "accuracy": count_hits(trace) / len(trace.labels),
@@ -215,30 +208,25 @@ def _cmd_eval(args) -> int:
     return _write_manifest(args, config, inputs, [])
 
 
-def _split_features(params, config, path, digest) -> tuple[np.ndarray, np.ndarray]:
-    """Global features and labels of one dataset file, streamed through
-    ``infer``; nothing else of the file outlives the call."""
-    trace = _infer_file(params, config, path, digest, "global_feature", "labels")
-    return trace.global_feature, trace.labels
-
-
 def _retrieval_run(args, inputs: dict):
     """The retrieval run of ``args`` and the model's config. Only features
-    and labels outlive this call: the model and the datasets are freed
-    before anything is ranked."""
+    and labels outlive this call: the model is freed, and each dataset is
+    streamed through ``infer``, before anything is ranked."""
     params, config = load_checkpoint(*inputs["model"])
-    queries = _split_features(params, config, *inputs["data"])
+    traces = [infer(path, params, config, "global_feature", "labels", digest=digest)
+              for name, (path, digest) in inputs.items() if name != "model"]  # data, gallery
+    features = [column for t in traces for column in (t.global_feature, t.labels)]
     if not args.gallery:
-        return evalmetrics.RetrievalRun.self_retrieval(*queries, distance=args.distance), config
-    gallery = _split_features(params, config, *inputs["gallery"])
-    return evalmetrics.RetrievalRun(*queries, *gallery, distance=args.distance), config
+        return evalmetrics.RetrievalRun.self_retrieval(*features, distance=args.distance), config
+    return evalmetrics.RetrievalRun(*features, distance=args.distance), config
 
 
 def _cmd_retrieve(args) -> int:
     inputs = _hashes(args, model=args.model, data=args.data, gallery=args.gallery)
     run, config = _retrieval_run(args, inputs)
     report = evalmetrics.shrec_metrics(run, cutoff=args.cutoff)
-    outputs = []
+    curve = evalmetrics.pr_curve(run, points=args.pr_points) if args.pr_csv else None
+    outputs = []  # written only once every report is computed
     if args.metrics_csv:
         evalmetrics.write_metrics_csv(args.metrics_csv, report)
         outputs.append(args.metrics_csv)
@@ -246,8 +234,7 @@ def _cmd_retrieve(args) -> int:
         evalmetrics.write_per_query_csv(args.per_query_csv, report)
         outputs.append(args.per_query_csv)
     if args.pr_csv:
-        recalls, precisions = evalmetrics.pr_curve(run, points=args.pr_points)
-        evalmetrics.write_pr_csv(args.pr_csv, recalls, precisions)
+        evalmetrics.write_pr_csv(args.pr_csv, *curve)
         outputs.append(args.pr_csv)
     summary = {
         "num_queries": run.num_queries,
@@ -287,7 +274,7 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_attention_dump(args) -> int:
     params, config = load_checkpoint(args.model)
-    alphas = _infer_file(params, config, args.data, None, "alpha").alpha
+    alphas = infer(args.data, params, config, "alpha").alpha
     extremes = enumerate(zip(alphas, alphas.argmax(axis=1), alphas.argmin(axis=1)))
     rows = ((si, vi, a, int(vi == top), int(vi == bottom))  # made one at a time, never held
             for si, (alpha, top, bottom) in extremes for vi, a in enumerate(alpha.tolist()))
@@ -303,8 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view 3D shape recognition over spatial view graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    manifest = argparse.ArgumentParser(add_help=False)  # the option of every recorded command
+    manifest.add_argument("--manifest", help="write a JSON run manifest here")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset", parents=[manifest])
     p.add_argument("--out", required=True, help="output dataset path")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True, help="shapes per class")
@@ -313,25 +302,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split", default="train", help="split tag stored in the file")
-    p.add_argument("--manifest", help="write a JSON run manifest here")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train", help="train a model on a dataset")
+    p = sub.add_parser("train", help="train a model on a dataset", parents=[manifest])
     p.add_argument("--data", required=True, help="training dataset path")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.add_argument("--log-file", help="write per-epoch stats as JSON lines")
-    p.add_argument("--manifest", help="write a JSON run manifest here")
     _add_config_args(p, "num_classes", "input_dim", "views")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score classification accuracy")
+    p = sub.add_parser("eval", help="score classification accuracy", parents=[manifest])
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset path")
-    p.add_argument("--manifest", help="write a JSON run manifest here")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("retrieve", help="retrieval metrics over global features")
+    p = sub.add_parser("retrieve", help="retrieval metrics over global features",
+                       parents=[manifest])
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="query dataset path")
     p.add_argument("--gallery", help="separate gallery dataset (default: self-retrieval)")
@@ -342,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-query-csv", help="write per-query scores CSV here")
     p.add_argument("--pr-csv", help="write the interpolated PR curve CSV here")
     p.add_argument("--pr-points", type=int, default=21)
-    p.add_argument("--manifest", help="write a JSON run manifest here")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("gradcheck", help="finite-difference check on a random instance")

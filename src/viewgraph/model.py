@@ -22,6 +22,7 @@ differences agree under every flag combination.
 
 import json
 import math
+import os
 import struct
 from dataclasses import InitVar, asdict, dataclass, fields
 from types import SimpleNamespace
@@ -48,7 +49,7 @@ from .classifier import (
 # The dense all_cumulative_correlations is not called here; perfbench/spans.py
 # traces the correlation stage under this name.
 from .correlation import all_correlation_backward, all_cumulative_correlations  # noqa: F401
-from .dataio import DEFAULT_SIGMA, check_json_types, read_container, write_atomic
+from .dataio import DEFAULT_SIGMA, check_json_types, read_blocks, read_container, write_atomic
 from .errors import FormatError
 from .numeric import row_blocks, softmax_grad, stable_softmax
 from .semantics import LatentMapParams, embed, embed_backward, init_latent_map
@@ -416,19 +417,23 @@ def count_hits(trace) -> int:
     return int(np.count_nonzero(trace.probs.argmax(axis=-1) == trace.labels))
 
 
-def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardTrace:
+def infer(samples, params: ModelParams, config: TrainConfig, *names, digest=None) -> ForwardTrace:
     """``forward`` over many shapes: the ``names`` fields, every other field
-    None. ``samples`` is a sequence, sliced into the plan's blocks, or a reader
-    that takes the plan and yields one Dataset per block, as ``read_blocks``
-    of ``dataio`` does. The plan is made once from the shape count: whole
-    slices of ``EVAL_CHUNK`` shapes, split evenly into blocks of at most
-    ``INFER_BLOCK_BYTES`` of descriptors unless one slice is more. A block is
-    checked (an error names a sample's index among all), then ``_describe``,
-    ``classify`` and the softmax run on its slices and the feature layer once
-    on it, in one reused buffer. So only the feature GEMM's row count depends
-    on the budget: BLAS may sum a small GEMM's row, such as the classifier's,
-    differently at another row count. A name whose field ``_describe`` leaves
-    None under ``config`` is a ValueError."""
+    None. ``samples`` is a sequence, sliced into the plan's blocks, or a
+    dataset path, read one planned block at a time by ``read_blocks`` at
+    ``config.sigma``, each byte into ``digest``. The plan is made once from
+    the shape count: whole slices of ``EVAL_CHUNK`` shapes, split evenly into
+    blocks of at most ``INFER_BLOCK_BYTES`` of descriptors unless one slice is
+    more. A block is checked (an error names a sample's index among all), then
+    ``_describe``, ``classify`` and the softmax run on its slices and the
+    feature layer once on it, in one reused buffer. So only the feature GEMM's
+    row count depends on the budget: BLAS may sum a small GEMM's row, such as
+    the classifier's, differently at another row count. A name that is no
+    ForwardTrace field, checked before any block runs, or whose field
+    ``_describe`` leaves None under ``config``, is a ValueError."""
+    known = {f.name for f in fields(ForwardTrace)}
+    if not known.issuperset(names):
+        raise ValueError(f"ForwardTrace has no field {', '.join(sorted(set(names) - known))}")
     width, buffer = config.descriptor_dim, None
 
     def plan(count: int) -> list:
@@ -441,13 +446,15 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
         buffer = np.empty((max(b.stop - b.start for b in blocks), width))
         return blocks
 
-    source = samples(plan) if callable(samples) else (samples[b] for b in plan(len(samples)))
+    source = (read_blocks(samples, plan, config.sigma, digest)
+              if isinstance(samples, (str, os.PathLike))
+              else (samples[b] for b in plan(len(samples))))
     validate_params(params, config)
     kept = {name: [] for name in names}
     head = ("global_feature", "logits", "probs")
     done = 0
     for block in source:
-        batch = list(getattr(block, "samples", block))  # a reader yields Datasets
+        batch = list(getattr(block, "samples", block))  # read_blocks yields Datasets
         check_samples(batch, config, done)
         done += len(batch)
         desc = buffer[:len(batch)]
@@ -468,7 +475,7 @@ def infer(samples, params: ModelParams, config: TrainConfig, *names) -> ForwardT
                 if name in kept:
                     kept[name].append(value)
     columns = {name: np.concatenate(parts) for name, parts in kept.items()}
-    return ForwardTrace(**{f.name: columns.get(f.name) for f in fields(ForwardTrace)})
+    return ForwardTrace(**{name: columns.get(name) for name in known})
 
 
 def predict_features(params: ModelParams, config: TrainConfig, dataset) -> np.ndarray:

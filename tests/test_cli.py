@@ -323,6 +323,20 @@ class TestRetrieveCommand:
         precisions = [float(r[1]) for r in rows[1:]]
         assert all(b <= a for a, b in zip(precisions, precisions[1:]))
 
+    def test_a_failing_report_leaves_no_csv(self, tmp_path, capsys):
+        # the PR curve is checked after the summary and per-query reports are
+        # computed, but before any of the three is written
+        data, model = self.setup_run(tmp_path)
+        paths = [tmp_path / f"{name}.csv" for name in ("metrics", "per_query", "pr")]
+        code = main([
+            "retrieve", "--model", str(model), "--data", str(data),
+            "--metrics-csv", str(paths[0]), "--per-query-csv", str(paths[1]),
+            "--pr-csv", str(paths[2]), "--pr-points", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.endswith("\nerror: need at least 2 grid points, got 1\n")
+        assert not any(p.exists() for p in paths)
+
     def test_ranks_once(self, tmp_path, capsys, monkeypatch):
         data, model = self.setup_run(tmp_path)
         calls = []
@@ -683,6 +697,17 @@ class TestUsageAndErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["synth", "--classes", "2", "--per-class", "1"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "retrieve", "gradcheck",
+                                         "attention-dump"])
+    def test_manifest_is_an_option_of_exactly_the_recording_commands(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        lines = [" ".join(line.split()) for line in capsys.readouterr().out.splitlines()]
+        recorded = command not in ("gradcheck", "attention-dump")
+        assert ("--manifest MANIFEST write a JSON run manifest here" in lines) == recorded
+        assert any("--manifest" in line for line in lines) == recorded
 
     def test_missing_input_file_exits_one(self, tmp_path, capsys):
         code = main([

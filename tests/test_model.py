@@ -1,7 +1,7 @@
 """The composed network: forward traces, ablation flags, checkpoints."""
 
 import dataclasses
-import functools
+import hashlib
 import json
 import os
 import struct
@@ -12,7 +12,7 @@ import pytest
 
 import viewgraph.model as vgm
 from oracles import dense_backward, dense_forward
-from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic, load, read_blocks, save
+from viewgraph.dataio import Dataset, ShapeSample, generate_synthetic, load, save
 from viewgraph.errors import DataIOError, FormatError, ViewGraphError
 from viewgraph.geometry import build_view_graph, default_viewpoints
 from viewgraph.model import (
@@ -312,8 +312,8 @@ def rig_samples(count, config, seed=0):
 
 
 class TestStreamedInfer:
-    """``infer`` over ``dataio.read_blocks`` gives the bits of ``infer`` over
-    the loaded Dataset: the reader yields exactly the blocks ``infer`` plans."""
+    """``infer`` over a dataset path gives the bits of ``infer`` over the
+    loaded Dataset: ``read_blocks`` yields exactly the blocks ``infer`` plans."""
 
     FIELDS = tuple(f.name for f in dataclasses.fields(vgm.ForwardTrace))
 
@@ -327,8 +327,7 @@ class TestStreamedInfer:
         monkeypatch.setattr(vgm, "global_feature", lambda desc, cls: rows.append(len(desc))
                             or gemm(desc, cls))
         whole = vgm.infer(load(path, sigma=config.sigma).samples, params, config, *self.FIELDS)
-        reader = functools.partial(read_blocks, path, sigma=config.sigma)
-        streamed = vgm.infer(reader, params, config, *self.FIELDS)
+        streamed = vgm.infer(path, params, config, *self.FIELDS)
         assert rows == blocks * 2
         for name in self.FIELDS:
             got, want = getattr(streamed, name), getattr(whole, name)
@@ -346,6 +345,27 @@ class TestStreamedInfer:
                              feature_dim=16)
         monkeypatch.setattr(vgm, "INFER_BLOCK_BYTES", 8 * 64 * vgm.EVAL_CHUNK)
         self._assert_same_bits(tmp_path, monkeypatch, 100, config, [32, 32, 32, 4])
+
+    def test_a_str_path_reads_the_bits_of_a_path_and_hashes_every_byte(self, tmp_path):
+        config = TrainConfig(num_classes=3, input_dim=5, views=4, n_patterns=4,
+                             feature_dim=6, sigma=3.0)
+        path = tmp_path / "d.3dvgd"
+        save(Dataset(rig_samples(50, config), ["a", "b", "c"]), path)
+        params = init_model(config, np.random.default_rng(0))
+        digest = hashlib.sha256()
+        by_str = vgm.infer(str(path), params, config, *self.FIELDS, digest=digest)
+        by_path = vgm.infer(path, params, config, *self.FIELDS)
+        for name in self.FIELDS:
+            assert getattr(by_str, name).tobytes() == getattr(by_path, name).tobytes(), name
+        assert digest.digest() == hashlib.sha256(path.read_bytes()).digest()
+
+    def test_a_name_that_is_no_trace_field_fails_before_any_block_runs(self, monkeypatch):
+        config, sample, params = make_instance()
+        ran = []
+        monkeypatch.setattr(vgm, "_describe", lambda *args: ran.append(args))
+        with pytest.raises(ValueError, match=r"^ForwardTrace has no field global_features$"):
+            vgm.infer([sample] * 3, params, config, "probs", "global_features")
+        assert ran == []
 
     def test_a_bad_sample_of_a_later_block_is_named_by_its_index(self, monkeypatch):
         config = TrainConfig(num_classes=3, input_dim=5, views=4, n_patterns=4,
